@@ -11,7 +11,7 @@ defining-set size).
 import deltafree as df
 
 for n in (2, 3, 4, 5):
-    report = df.enumerate_maximum_families(n, jobs=2)
+    report = df.enumerate_maximum_families(n)
     constructed = {
         df.generate_family(df.Generator(n, sc)) for sc in range((1 << n) - 1)
     }

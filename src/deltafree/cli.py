@@ -7,34 +7,21 @@ Subcommands: ``generate`` (build a family from its defining set),
 (survival sweep).  Exit codes: 0 the property holds / success, 1 the
 property fails (a witness is printed), 2 usage or parse error.
 
-Output on stdout is byte-deterministic for fixed arguments; worker count
-(``--jobs``, default from DELTAFREE_JOBS) and timing never change it.
-Timings go to stderr.
+Output on stdout is byte-deterministic for fixed arguments; timings go to
+stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from pathlib import Path
 
 from . import __version__
 from .construction import Generator, generate_family, recognize_generator
-from .core import (
-    Family,
-    elements_of,
-    find_closure_violation,
-    find_delta_violation,
-    find_quadruple_collision,
-    find_union_collision,
-    is_delta_closed,
-    is_delta_free,
-    is_quadruple_delta_free,
-    is_union_free,
-)
+from .core import _CHECKS, Family, elements_of
 from .enumeration import (
     EnumerationBudgetError,
     EnumerationReport,
@@ -52,13 +39,6 @@ from .serialization import (
     parse_element_set,
 )
 
-_CHECKS = {
-    "pairwise": (is_delta_free, find_delta_violation),
-    "quadruple": (is_quadruple_delta_free, find_quadruple_collision),
-    "union": (is_union_free, find_union_collision),
-    "closed": (is_delta_closed, find_closure_violation),
-}
-
 
 class CliError(Exception):
     """Usage-level failure; maps to exit code 2."""
@@ -72,14 +52,6 @@ def _print_json(payload: dict) -> None:
     text = json.dumps(payload, indent=2)
     text = _INNER_INT_LIST.sub(lambda m: "[" + re.sub(r"\s+", " ", m.group(1)) + "]", text)
     print(text)
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get("DELTAFREE_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _load_family(path: str, n: int | None) -> Family:
@@ -159,45 +131,8 @@ def _report_payload(report: EnumerationReport, with_classes: bool) -> dict:
     return payload
 
 
-def _cache_path(cache_dir: str, n: int) -> Path:
-    return Path(cache_dir) / f"enumeration-n{n}-v{__version__}.json"
-
-
-def _report_from_cache(path: Path) -> EnumerationReport | None:
-    try:
-        raw = json.loads(path.read_text())
-        families = tuple(
-            Family(raw["n"], [sum(1 << (e - 1) for e in s) for s in fam])
-            for fam in raw["families"]
-        )
-        return EnumerationReport(
-            n=raw["n"],
-            families=families,
-            total=raw["total"],
-            all_generated=raw["all_generated"],
-            class_sizes=tuple(raw["class_sizes"]),
-            elapsed=raw["elapsed"],
-        )
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-
-
-def _report_to_cache(path: Path, report: EnumerationReport) -> None:
-    payload = _report_payload(report, with_classes=True)
-    payload["elapsed"] = report.elapsed
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload) + "\n")
-
-
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    report = None
-    cache_file = _cache_path(args.cache_dir, args.n) if args.cache_dir else None
-    if cache_file is not None and cache_file.exists():
-        report = _report_from_cache(cache_file)
-    if report is None:
-        report = enumerate_maximum_families(args.n, budget=args.budget, jobs=args.jobs)
-        if cache_file is not None:
-            _report_to_cache(cache_file, report)
+    report = enumerate_maximum_families(args.n, budget=args.budget)
     _print_json(_report_payload(report, args.classes))
     print(f"enumerated n={report.n} in {report.elapsed:.3f}s", file=sys.stderr)
     return 0 if report.all_generated else 1
@@ -289,10 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="exhaustively list maximum families")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
     p.add_argument("--classes", action="store_true", help="include isomorphism class sizes")
     p.add_argument("--budget", type=float, default=None, help="time budget in seconds")
-    p.add_argument("--cache-dir", default=None, help="reuse reports cached on disk")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("partition", help="four-class parity split against --t")
@@ -327,13 +260,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EnumerationBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, EnumerationBudgetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -359,3 +359,12 @@ def is_union_free(family: Family) -> bool:
 def find_union_collision(family: Family) -> tuple[int, int, int, int] | None:
     """Witness for is_union_free: first (A, B, C, D) with A ∪ B = C ∪ D."""
     return _first_pair_collision(family, lambda a, b: a | b)
+
+
+# Every freeness definition by name: (predicate, lexicographically first witness).
+_CHECKS = {
+    "pairwise": (is_delta_free, find_delta_violation),
+    "quadruple": (is_quadruple_delta_free, find_quadruple_collision),
+    "union": (is_union_free, find_union_collision),
+    "closed": (is_delta_closed, find_closure_violation),
+}

@@ -10,15 +10,13 @@ size.  Canonical forms under ground-set relabeling give the isomorphism
 class census.
 
 The search state fits in two machine-word bitmasks over the 2^n possible
-words, so the whole thing is plain int arithmetic.  Subtrees rooted at
-depth-2 prefixes can be farmed out to worker processes; results are
-merged and sorted, so output is identical for any worker count.
+words, so the whole thing is plain int arithmetic.  One serial search
+finds every family; results are sorted, so output is deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import time
 from dataclasses import dataclass
 
@@ -51,7 +49,6 @@ class EnumerationReport:
     all_generated: bool
     class_sizes: tuple[int, ...]
     elapsed: float
-    complete: bool = True
 
 
 def _dfs(
@@ -92,54 +89,12 @@ def _dfs(
         prefix.pop()
 
 
-def _search_from(
-    n: int, prefix: tuple[int, ...], cand: int, deadline: float | None
-) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    need = (1 << (n - 1)) - len(prefix)
-    _dfs(n, list(prefix), cand, need, out, deadline, [0])
-    return out
-
-
-def _worker(task: tuple[int, tuple[int, ...], int, float | None]) -> list[tuple[int, ...]]:
-    return _search_from(*task)
-
-
-def _split_tasks(
-    n: int, depth: int, deadline: float | None
-) -> list[tuple[int, tuple[int, ...], int, float | None]]:
-    """All live (prefix, candidates) states at the given search depth."""
-    tasks: list[tuple[int, tuple[int, ...], int, float | None]] = []
-    full = (1 << (1 << n)) - 2  # every word except the empty set
-
-    def grow(prefix: list[int], cand: int) -> None:
-        if len(prefix) == depth:
-            tasks.append((n, tuple(prefix), cand, deadline))
-            return
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            x = low.bit_length() - 1
-            newly = 0
-            for y in prefix:
-                newly |= 1 << (x ^ y)
-            prefix.append(x)
-            grow(prefix, cand & ~newly)
-            prefix.pop()
-
-    grow([], full)
-    return tasks
-
-
-def enumerate_maximum_families(
-    n: int, budget: float | None = None, jobs: int = 1
-) -> EnumerationReport:
+def enumerate_maximum_families(n: int, budget: float | None = None) -> EnumerationReport:
     """Every delta-free family of size exactly 2^(n-1), 2 <= n <= 5.
 
-    Deterministic: families are sorted lexicographically by member words
-    regardless of ``jobs``.  A ``budget`` in seconds aborts the search
-    with :class:`EnumerationBudgetError` rather than returning a
-    truncated report.
+    Deterministic: families are sorted lexicographically by member words.
+    A ``budget`` in seconds aborts the search with
+    :class:`EnumerationBudgetError` rather than returning a truncated report.
     """
     validate_ground(n)
     if not 2 <= n <= _ENUM_MAX_GROUND:
@@ -148,19 +103,9 @@ def enumerate_maximum_families(
         raise EnumerationBudgetError("enumeration budget exhausted before start")
     deadline = None if budget is None else time.monotonic() + budget
     start = time.monotonic()
-    target = 1 << (n - 1)
-    if jobs <= 1 or target <= 2:
-        raw = _search_from(n, (), (1 << (1 << n)) - 2, deadline)
-    else:
-        tasks = _split_tasks(n, 2, deadline)
-        raw = []
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=jobs) as pool:
-            try:
-                for chunk in pool.imap(_worker, tasks, chunksize=8):
-                    raw.extend(chunk)
-            except EnumerationBudgetError as exc:
-                raise EnumerationBudgetError(str(exc), tuple(raw)) from None
+    raw: list[tuple[int, ...]] = []
+    # every word except the empty set is a candidate
+    _dfs(n, [], (1 << (1 << n)) - 2, 1 << (n - 1), raw, deadline, [0])
     raw.sort()
     families = tuple(Family(n, words) for words in raw)
     elapsed = time.monotonic() - start
@@ -179,8 +124,6 @@ def enumerate_maximum_families(
 def verify_completeness(report: EnumerationReport) -> bool:
     """True iff the report holds all 2^n - 1 families and each one is
     recognized by its recovered generator."""
-    if not report.complete:
-        raise ValueError("cannot verify a budget-truncated report")
     if report.total != (1 << report.n) - 1:
         return False
     return all(recognize_generator(f) is not None for f in report.families)
@@ -215,8 +158,6 @@ def _class_size_census(families: tuple[Family, ...]) -> tuple[int, ...]:
 
 def isomorphism_class_sizes(report: EnumerationReport) -> tuple[int, ...]:
     """Sizes of the relabeling-equivalence classes, ascending."""
-    if not report.complete:
-        raise ValueError("cannot classify a budget-truncated report")
     if report.n > _CANONICAL_MAX_GROUND:
         raise ValueError(f"classification supports n <= {_CANONICAL_MAX_GROUND}")
     return _class_size_census(report.families)

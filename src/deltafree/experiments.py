@@ -20,21 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .core import (
-    Family,
-    is_delta_free,
-    is_quadruple_delta_free,
-    is_union_free,
-    validate_ground,
-)
+from .core import _CHECKS, Family, validate_ground
 
 _MASK64 = (1 << 64) - 1
 _GRID_SALT = 0xA3EC4E6F8C3A9D17
 
+# No "closed": the coupled sweep needs properties every subfamily keeps; closedness is not one.
 DEFINITIONS: dict[str, Callable[[Family], bool]] = {
-    "pairwise": is_delta_free,
-    "quadruple": is_quadruple_delta_free,
-    "union": is_union_free,
+    name: _CHECKS[name][0] for name in ("pairwise", "quadruple", "union")
 }
 
 

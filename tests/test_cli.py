@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -142,28 +145,9 @@ class TestEnumerate:
         assert payload["all_generated"] is True
         assert len(payload["families"]) == 7
 
-    def test_bytes_identical_across_jobs(self, capsys):
-        _, out1, _ = run_cli(capsys, "enumerate", "--n", "4", "--jobs", "1")
-        _, out4, _ = run_cli(capsys, "enumerate", "--n", "4", "--jobs", "4")
-        assert out1 == out4
-
     def test_out_of_range_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "--n", "7")
         assert code == 2 and "error" in err
-
-    def test_cache_round_trip(self, capsys, tmp_path):
-        cache = str(tmp_path / "cache")
-        code1, fresh, _ = run_cli(capsys, "enumerate", "--n", "3", "--classes", "--cache-dir", cache)
-        code2, cached, _ = run_cli(capsys, "enumerate", "--n", "3", "--classes", "--cache-dir", cache)
-        assert code1 == code2 == 0
-        assert fresh == cached
-        assert list((tmp_path / "cache").iterdir())
-
-    def test_env_var_sets_default_jobs(self, capsys, monkeypatch):
-        monkeypatch.setenv("DELTAFREE_JOBS", "2")
-        code, out, _ = run_cli(capsys, "enumerate", "--n", "3")
-        assert code == 0
-        assert json.loads(out)["total"] == 7
 
 
 class TestPartition:
@@ -232,9 +216,19 @@ class TestTopLevel:
     def test_unknown_argument_is_usage_error(self, capsys):
         assert run_cli(capsys, "generate", "--bogus")[0] == 2
 
+    @pytest.mark.parametrize(
+        "option", [("--jobs", "2"), ("--cache-dir", "x")], ids=["jobs", "cache-dir"]
+    )
+    def test_removed_enumerate_option_is_usage_error(self, capsys, option):
+        assert run_cli(capsys, "enumerate", "--n", "3", *option)[0] == 2
+
     def test_console_script_smoke(self):
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        assert 'deltafree = "deltafree.cli:run"' in pyproject
+        script = shutil.which("deltafree")
+        command = [script] if script else [sys.executable, "-m", "deltafree"]
         proc = subprocess.run(
-            ["deltafree", "generate", "--n", "3", "--sc", "3"],
+            [*command, "generate", "--n", "3", "--sc", "3"],
             capture_output=True,
             text=True,
         )
