@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import deltafree as df
+from deltafree.core import _scan_is_cheaper
 from conftest import (
     fam,
     family_strategy,
@@ -184,8 +185,8 @@ class TestDeltaFree:
         assert not naive_delta_free(spoiled.members)
 
     def test_wide_ground_gather_path_matches_naive_oracle(self):
-        # n > 20 disables the transform; mid-sized families hit the
-        # vectorized table-gather loop instead
+        # 60-member families at n = 22 are decided by the pair scan, which is
+        # cheaper there than the Walsh transform that serves larger families
         rng = np.random.default_rng(22)
         for _ in range(8):
             words = rng.integers(0, 1 << 22, size=60)
@@ -269,8 +270,18 @@ class TestQuadrupleFree:
             assert not twins
 
     def test_transform_path_matches_scan(self):
-        f = df.all_odd_family(10)  # 512 members, transform path
+        # 512 members at n = 10 outnumber the nonzero differences, so the
+        # pigeonhole exit decides it; TestWideGroundTransform covers the transform
+        f = df.all_odd_family(10)
         assert df.is_quadruple_delta_free(f) == naive_quadruple_free(f.members)
+
+    @pytest.mark.parametrize("size", [6, 7])
+    def test_pigeonhole_boundary_matches_naive_oracle(self, size):
+        # 15 nonzero differences at n = 4: 6 members give 15 pairs (a scan),
+        # 7 members give 21 pairs (an early exit)
+        for words in itertools.combinations(range(16), size):
+            f = df.Family(4, words)
+            assert df.is_quadruple_delta_free(f) == naive_quadruple_free(words)
 
 
 class TestUnionFree:
@@ -288,6 +299,78 @@ class TestUnionFree:
         expected = naive_union_free(f.members)
         assert df.is_union_free(f) == expected
         assert (df.find_union_collision(f) is None) == expected
+
+    @pytest.mark.parametrize("size", [6, 7])
+    def test_pigeonhole_boundary_matches_naive_oracle(self, size):
+        # 15 nonzero unions at n = 4: 7 members give 21 pairs (an early exit)
+        for words in itertools.combinations(range(16), size):
+            f = df.Family(4, words)
+            assert df.is_union_free(f) == naive_union_free(words)
+
+
+def _gf2k_mul(a: int, b: int, k: int = 11, poly: int = 0b100000000101) -> int:
+    """Product in GF(2^k) modulo the primitive polynomial x^11 + x^2 + 1."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a <<= 1
+        if a >> k:
+            a ^= poly
+    return out
+
+
+def _sidon_family(size: int) -> df.Family:
+    """{(x, x^3)} over GF(2^11) as n = 22 words: x -> x^3 is almost perfect
+    nonlinear, so no two distinct pairs share a symmetric difference."""
+    words = [x | _gf2k_mul(x, _gf2k_mul(x, x)) << 11 for x in range(1, size + 1)]
+    return df.Family(22, words)
+
+
+class TestWideGroundTransform:
+    """The Walsh path is exact for every n <= MAX_GROUND, where the second
+    transform's partial sums overflow int64 and wrap."""
+
+    @pytest.mark.parametrize("n", [21, 24])
+    def test_xor_pair_counts_match_bincount_oracle(self, n):
+        rng = np.random.default_rng(n)
+        words = [int(w) for w in rng.integers(1, 1 << n, 296)]
+        a, b, c, d = words[:4]
+        # a^b is also c^(a^b^c) and d^(a^b^d), and a member itself
+        f = df.Family(n, words + [a ^ b ^ c, a ^ b ^ d, a ^ b])
+        arr = np.array(f.members, dtype=np.int64)
+        oracle = np.bincount((arr[:, None] ^ arr[None, :]).ravel(), minlength=1 << n)
+        counts = df.xor_pair_counts(f)
+        assert counts[a ^ b] >= 6
+        assert np.array_equal(counts, oracle)
+
+    def test_maximum_family_at_n21(self):
+        f = df.generate_family(df.Generator(21, 0b1011))
+        assert df.is_delta_free(f)
+        a, b = f.members[:2]
+        spoiled = df.Family(21, np.append(np.array(f.members, dtype=np.uint32), a ^ b))
+        assert len(spoiled) == len(f) + 1
+        assert not df.is_delta_free(spoiled)
+
+    def test_n22_past_scan_cutoff_matches_naive_oracle(self):
+        sidon = _sidon_family(1100)
+        assert not _scan_is_cheaper(sidon, 256)  # the transform decides these
+        a, b, c = sidon.members[:3]
+        spoiled = df.Family(22, sidon.members + (a ^ b, a ^ b ^ c))
+        for f in (sidon, spoiled):
+            assert df.is_delta_free(f) == naive_delta_free(f.members)
+            assert df.is_quadruple_delta_free(f) == naive_quadruple_free(f.members)
+        assert df.is_delta_free(sidon) and df.is_quadruple_delta_free(sidon)
+        assert not df.is_quadruple_delta_free(spoiled)
+
+    def test_all_even_family_at_n21_is_closed(self):
+        # x -> x ^ (x << 1) maps the 2^20 words below 2^20 one-to-one onto
+        # the even-cardinality words of [21]
+        x = np.arange(1 << 20, dtype=np.uint32)
+        evens = df.Family(21, x ^ (x << 1))
+        assert df.parity_census(evens) == (1 << 20, 0)
+        assert df.is_delta_closed(evens)
 
 
 class TestAllOddFamily:
