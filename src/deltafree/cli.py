@@ -15,28 +15,26 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
+import os
 import sys
 from pathlib import Path
 
 from . import __version__
 from .construction import Generator, generate_family, recognize_generator
 from .core import _CHECKS, Family, elements_of
-from .enumeration import (
-    EnumerationBudgetError,
-    EnumerationReport,
-    enumerate_maximum_families,
-)
+from .enumeration import EnumerationBudgetError, enumerate_maximum_families
 from .experiments import DEFINITIONS, ExperimentConfig, estimate_survival
 from .partition import ALL_CLASSES, partition_family
 from .serialization import (
-    EMPTY_SET_TOKEN,
+    INLINE_JSON_STYLE,
+    LINES_STYLE,
     family_from_json,
     family_from_lines,
     family_to_json,
     family_to_lines,
     format_element_set,
     parse_element_set,
+    render_sets,
 )
 
 
@@ -44,14 +42,27 @@ class CliError(Exception):
     """Usage-level failure; maps to exit code 2."""
 
 
-_INNER_INT_LIST = re.compile(r"\[\s+(-?\d+(?:,\s+-?\d+)*)\s+\]")
-
-
-def _print_json(payload: dict) -> None:
-    """indent=2 JSON with innermost integer lists collapsed onto one line."""
-    text = json.dumps(payload, indent=2)
-    text = _INNER_INT_LIST.sub(lambda m: "[" + re.sub(r"\s+", " ", m.group(1)) + "]", text)
-    print(text)
+def _json_text(value: object, pad: str = "") -> str:
+    """``json.dumps(value, indent=2)``, except that a list of ints prints on
+    one line, ``[1, 2]``, and a Family prints as the list of its member
+    sets, each on one line."""
+    inner = pad + "  "
+    if isinstance(value, Family):
+        items = render_sets(value._arr.tolist(), INLINE_JSON_STYLE)
+    elif isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{json.dumps(key)}: {_json_text(v, inner)}" for key, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    elif isinstance(value, list):
+        if all(type(v) is int for v in value):
+            return "[" + ", ".join(map(str, value)) + "]"
+        items = [_json_text(v, inner) for v in value]
+    else:
+        return json.dumps(value)
+    if not items:
+        return "[]"
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
 
 
 def _load_family(path: str, n: int | None) -> Family:
@@ -77,14 +88,6 @@ def _emit_family(family: Family, fmt: str) -> None:
         sys.stdout.write(family_to_lines(family))
 
 
-def _witness_lines(words: tuple[int, ...]) -> str:
-    out = ["witness:"]
-    for w in words:
-        elems = elements_of(w)
-        out.append(" ".join(map(str, elems)) if elems else EMPTY_SET_TOKEN)
-    return "\n".join(out)
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
     sc = parse_element_set(args.sc, args.n)
     gen = Generator(args.n, sc)
@@ -102,7 +105,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     witness = witness_fn(family)
     print(f"NOT-FREE{tag}")
     if witness is not None:
-        print(_witness_lines(witness))
+        print("\n".join(["witness:", *render_sets(witness, LINES_STYLE)]))
     return 1
 
 
@@ -117,23 +120,17 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_payload(report: EnumerationReport, with_classes: bool) -> dict:
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    report = enumerate_maximum_families(args.n, budget=args.budget)
     payload: dict = {
         "n": report.n,
         "total": report.total,
         "all_generated": report.all_generated,
     }
-    if with_classes:
+    if args.classes:
         payload["class_sizes"] = list(report.class_sizes)
-    payload["families"] = [
-        [list(elements_of(w)) for w in fam.members] for fam in report.families
-    ]
-    return payload
-
-
-def cmd_enumerate(args: argparse.Namespace) -> int:
-    report = enumerate_maximum_families(args.n, budget=args.budget)
-    _print_json(_report_payload(report, args.classes))
+    payload["families"] = list(report.families)
+    print(_json_text(payload))
     print(f"enumerated n={report.n} in {report.elapsed:.3f}s", file=sys.stderr)
     return 0 if report.all_generated else 1
 
@@ -147,12 +144,9 @@ def cmd_partition(args: argparse.Namespace) -> int:
         "n": family.n,
         "t": list(elements_of(t)),
         "counts": {names[pair]: split.counts[pair] for pair in ALL_CLASSES},
-        "classes": {
-            names[pair]: [list(elements_of(w)) for w in split.subfamilies[pair].members]
-            for pair in ALL_CLASSES
-        },
+        "classes": {names[pair]: split.subfamilies[pair] for pair in ALL_CLASSES},
     }
-    _print_json(payload)
+    print(_json_text(payload))
     return 0
 
 
@@ -184,7 +178,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
             "coupled": not args.independent,
         }
         payload.update(curve.as_json_dict())
-        _print_json(payload)
+        print(_json_text(payload))
     else:
         sys.stdout.write(curve.as_csv())
         crossing = "none" if curve.crossing is None else f"{curve.crossing}"
@@ -266,4 +260,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``).  Point stdout at
+        # devnull so the interpreter's final flush cannot fail again, and
+        # exit as a process killed by SIGPIPE would: 128 + 13.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)

@@ -133,7 +133,9 @@ class Family:
         validate_ground(n)
         top = 1 << n
         if isinstance(members, np.ndarray):
-            arr = np.unique(members).astype(np.int64)
+            arr = members
+            if arr.ndim != 1 or not (arr[1:] > arr[:-1]).all():
+                arr = np.unique(arr)
         else:
             arr = np.fromiter(sorted({int(w) for w in members}), dtype=np.int64)
         if arr.size and (arr[0] < 0 or arr[-1] >= top):
@@ -146,7 +148,7 @@ class Family:
         words.setflags(write=False)
         table.setflags(write=False)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "members", tuple(int(w) for w in words))
+        object.__setattr__(self, "members", tuple(words.tolist()))
         object.__setattr__(self, "_arr", words)
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_hash", None)

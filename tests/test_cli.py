@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,16 @@ import pytest
 
 import deltafree as df
 from deltafree.cli import main
+from conftest import oracle_cli_json, oracle_set_lists
+
+
+# Lets `python -m deltafree` in a child process import the package under test.
+SUBPROCESS_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(df.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+}
 
 
 def run_cli(capsys, *argv):
@@ -209,6 +220,97 @@ class TestThreshold:
         assert code == 2
 
 
+def _class_name(pair) -> str:
+    return f"{pair.card.name.lower()}_{pair.trace.name.lower()}"
+
+
+class TestStdoutMatchesJsonDumpsOracle:
+    """The CLI's JSON stdout equals json.dumps(indent=2) with innermost
+    integer lists collapsed onto one line, byte for byte."""
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_partition(self, capsys, tmp_path, n):
+        full = (1 << n) - 1
+        sc = df.word_of(range(1, n // 2 + 1), n)
+        family = df.generate_family(df.Generator(n, sc))
+        path = tmp_path / "f.txt"
+        path.write_text(df.family_to_lines(family))
+        # The degenerate references 0, s, sc and the whole ground empty two classes.
+        for t in (0, full ^ sc, sc, full, 1, 0b110 & full, full >> 1):
+            code, out, _ = run_cli(
+                capsys, "partition", "--file", str(path), "--t", ",".join(map(str, df.elements_of(t)))
+            )
+            split = df.partition_family(family, t)
+            payload = {
+                "n": n,
+                "t": list(df.elements_of(t)),
+                "counts": {_class_name(p): split.counts[p] for p in df.ALL_CLASSES},
+                "classes": {
+                    _class_name(p): oracle_set_lists(split.subfamilies[p]) for p in df.ALL_CLASSES
+                },
+            }
+            assert code == 0
+            assert out == oracle_cli_json(payload)
+
+    @pytest.mark.parametrize("text", ["", "-\n1\n1 2\n"], ids=["empty", "with-empty-set"])
+    def test_partition_small_files(self, capsys, tmp_path, text):
+        path = tmp_path / "f.txt"
+        path.write_text(text)
+        family = df.family_from_lines(text)
+        split = df.partition_family(family, 1)
+        _, out, _ = run_cli(capsys, "partition", "--file", str(path), "--t", "1")
+        assert out == oracle_cli_json({
+            "n": family.n,
+            "t": [1],
+            "counts": {_class_name(p): split.counts[p] for p in df.ALL_CLASSES},
+            "classes": {_class_name(p): oracle_set_lists(split.subfamilies[p]) for p in df.ALL_CLASSES},
+        })
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("classes", [True, False], ids=["classes", "plain"])
+    def test_enumerate(self, capsys, n, classes):
+        _, out, _ = run_cli(capsys, "enumerate", "--n", str(n), *(["--classes"] if classes else []))
+        report = df.enumerate_maximum_families(n)
+        payload = {"n": n, "total": report.total, "all_generated": report.all_generated}
+        if classes:
+            payload["class_sizes"] = list(report.class_sizes)
+        payload["families"] = [oracle_set_lists(f) for f in report.families]
+        assert out == oracle_cli_json(payload)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--n", "3", "--steps", "11", "--trials", "50", "--seed", "3"),
+            ("--n", "4", "--p-max", "0.02", "--steps", "3", "--trials", "20", "--definition", "union"),
+            ("--n", "3", "--steps", "1", "--trials", "5", "--independent"),
+        ],
+    )
+    def test_threshold_json(self, capsys, args):
+        _, out, _ = run_cli(capsys, "threshold", *args, "--format", "json")
+        _, csv, _ = run_cli(capsys, "threshold", *args)
+        payload = json.loads(out)
+        # The values come from the CSV printer, the layout from the oracle.
+        rows = [row.split(",") for row in csv.splitlines()[1:]]
+        assert [[str(pt[k]) for k in ("p", "estimate", "stderr", "trials")] for pt in payload["points"]] == rows
+        assert out == oracle_cli_json(payload)
+
+    @pytest.mark.parametrize(
+        "text, definition, witness",
+        [
+            ("-\n1\n", "pairwise", [(), ()]),
+            ("1 13\n2 13\n1 2\n", "pairwise", [(1, 2), (1, 13)]),
+            ("1\n2\n1 3\n2 3\n", "quadruple", [(1,), (2,), (1, 3), (2, 3)]),
+            ("1\n2\n", "closed", [(1,), (1,)]),
+        ],
+    )
+    def test_check_witness_lines(self, capsys, tmp_path, text, definition, witness):
+        path = tmp_path / "f.txt"
+        path.write_text(text)
+        code, out, _ = run_cli(capsys, "check", "--file", str(path), "--definition", definition)
+        assert code == 1
+        assert out.splitlines()[1:] == ["witness:"] + [" ".join(map(str, w)) or "-" for w in witness]
+
+
 class TestTopLevel:
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert run_cli(capsys)[0] == 2
@@ -231,6 +333,23 @@ class TestTopLevel:
             [*command, "generate", "--n", "3", "--sc", "3"],
             capture_output=True,
             text=True,
+            env=SUBPROCESS_ENV,
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "1"
+
+    def test_closed_stdout_exits_141_without_traceback(self, tmp_path):
+        path = tmp_path / "f14.json"
+        path.write_text(df.family_to_json(df.generate_family(df.Generator(14, 3))))
+        # About 200 kB of output: more than a pipe buffer holds.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "deltafree", "partition", "--file", str(path), "--t", "2"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=SUBPROCESS_ENV,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 141
+        assert err == b""

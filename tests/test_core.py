@@ -89,6 +89,25 @@ class TestFamily:
         f = df.Family(3, [5, 1, 5, 3])
         assert f.members == (1, 3, 5)
 
+    @given(st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=20))
+    ))
+    def test_array_input_matches_list_input(self, case):
+        n, words = case
+        want = df.Family(n, words)
+        for arr in (np.array(words, dtype=np.uint32), np.array(sorted(set(words)), dtype=np.int64)):
+            f = df.Family(n, arr)
+            assert f == want
+            assert all(type(w) is int for w in f.members)
+            assert (f.table_bits() == want.table_bits()).all()
+            arr[...] = 0  # the family keeps its own copy
+            assert f == want
+
+    def test_out_of_ground_array_rejected(self):
+        for arr in (np.array([1, 4]), np.array([-1, 1]), np.array([4, 1])):
+            with pytest.raises(ValueError, match="does not fit ground size 2"):
+                df.Family(2, arr)
+
     def test_membership_table_agrees_with_members_exhaustive(self):
         for n in (1, 2, 3):
             for bits in range(1 << (1 << n)):

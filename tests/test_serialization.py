@@ -1,4 +1,5 @@
-"""Round-trips and rejection behavior for the lines and json formats."""
+"""Round-trips and rejection behavior for the lines and json formats, and
+the table writers and bulk readers against the per-set oracles."""
 
 from __future__ import annotations
 
@@ -6,9 +7,19 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import deltafree as df
-from conftest import fam
+from conftest import (
+    fam,
+    oracle_from_json,
+    oracle_from_lines,
+    oracle_to_json,
+    oracle_to_lines,
+    outcome,
+    wide_family_strategy,
+)
 
 
 def every_family(n):
@@ -103,6 +114,10 @@ class TestJsonFormat:
         with pytest.raises(ValueError, match="format tag"):
             df.family_from_json('{"format": "other/9", "n": 2, "sets": []}')
 
+    def test_rejects_unsorted_set(self):
+        with pytest.raises(ValueError, match=r"set \[2, 1\] is not strictly increasing"):
+            df.family_from_json('{"n": 3, "sets": [[2, 1]]}')
+
     def test_rejects_non_integer_elements(self):
         with pytest.raises(ValueError):
             df.family_from_json('{"n": 3, "sets": [["a"]]}')
@@ -114,15 +129,114 @@ class TestJsonFormat:
             df.family_from_json('{"n": 99, "sets": []}')
 
 
-class TestFamilyDocument:
-    def test_from_family_canonical_order(self):
-        doc = df.FamilyDocument.from_family(fam(4, (2, 3), (1,)))
-        assert doc.sets == ((1,), (2, 3))
-        assert doc.format_tag == df.FORMAT_TAG
+class TestAgainstOracles:
+    @given(wide_family_strategy())
+    def test_writers_match_oracle(self, f):
+        assert df.family_to_lines(f) == oracle_to_lines(f)
+        assert df.family_to_json(f) == oracle_to_json(f)
 
-    def test_to_family_validates(self):
-        with pytest.raises(ValueError):
-            df.FamilyDocument(n=3, sets=((2, 1),)).to_family()
+    @given(wide_family_strategy())
+    def test_readers_match_oracle(self, f):
+        lines = oracle_to_lines(f)
+        assert df.family_from_lines(lines, f.n) == f
+        assert df.family_from_lines(lines) == oracle_from_lines(lines)
+        assert df.family_from_json(oracle_to_json(f)) == f
+
+    def test_maximum_family_n16_matches_oracle(self):
+        f = df.generate_family(df.Generator(16, 0b1010_0000_0000_0110))
+        lines, doc = oracle_to_lines(f), oracle_to_json(f)
+        assert df.family_to_lines(f) == lines
+        assert df.family_to_json(f) == doc
+        assert df.family_from_lines(lines) == f
+        assert df.family_from_json(doc) == f
+
+    @pytest.mark.parametrize("n, sc", [(1, 0), (5, 3), (12, 7), (13, 4096), (16, 1)])
+    def test_canonical_files_skip_the_set_by_set_parse(self, monkeypatch, n, sc):
+        f = df.generate_family(df.Generator(n, sc))
+        lines, doc = oracle_to_lines(f), oracle_to_json(f)
+
+        def refuse(*args):
+            raise AssertionError("set-by-set parse reached")
+
+        monkeypatch.setattr("deltafree.serialization._family_of_sets", refuse)
+        assert df.family_from_lines(lines) == f
+        assert df.family_from_lines(lines.rstrip("\n"), n) == f
+        assert df.family_from_json(doc) == f
+
+    @given(
+        st.text(alphabet="0123456789 -\n#\t\r+", max_size=40),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=26)),
+    )
+    def test_lines_reader_matches_oracle_on_any_text(self, text, n):
+        assert outcome(df.family_from_lines, text, n) == outcome(oracle_from_lines, text, n)
+
+    @given(
+        st.one_of(st.integers(min_value=-1, max_value=26), st.booleans()),
+        st.lists(
+            st.one_of(
+                st.lists(st.integers(min_value=-1, max_value=26), max_size=5),
+                st.lists(st.one_of(st.booleans(), st.floats(), st.text(max_size=2)), max_size=2),
+                st.integers(),
+            ),
+            max_size=6,
+        ),
+    )
+    def test_json_reader_matches_oracle_on_any_document(self, n, sets):
+        text = json.dumps({"n": n, "sets": sets})
+        assert outcome(df.family_from_json, text) == outcome(oracle_from_json, text)
+
+    @pytest.mark.parametrize(
+        "text, n",
+        [
+            ("1 two\n", 3),
+            ("3 1\n", 3),
+            ("1 1\n", 3),
+            ("4\n", 3),
+            ("0\n", None),
+            ("# a comment\n1 2\n", None),
+            ("1\n\n2\n", None),
+            ("1 2\r\n2\r\n", None),
+            ("1\t2\n", None),
+            ("01\n", None),
+            ("+3\n", None),
+            ("100\n", None),
+            ("- 1\n", None),
+            ("1 -\n", None),
+            ("-1\n", None),
+            ("--\n", None),
+            ("1  2\n", None),
+            (" 1\n", None),
+            ("1 2\n1 2\n", None),
+            ("2\n1\n", None),
+            ("25\n", None),
+            ("1 2", None),
+            ("1\n", 25),
+        ],
+    )
+    def test_lines_fallback_table(self, text, n):
+        assert outcome(df.family_from_lines, text, n) == outcome(oracle_from_lines, text, n)
+
+    @pytest.mark.parametrize(
+        "sets, n",
+        [
+            ([[True]], 3),
+            ([[1.0]], 3),
+            ([["1"]], 3),
+            ([[[1]]], 3),
+            ([[2, 1]], 3),
+            ([[1, 1]], 3),
+            ([[4]], 3),
+            ([[0]], 3),
+            ([[10**30]], 3),
+            ([1], 3),
+            ([[2], [1], [2]], 3),
+            ([[1]], 25),
+            ([[1]], 0),
+        ],
+    )
+    def test_json_fallback_table(self, sets, n):
+        text = json.dumps({"n": n, "sets": sets})
+        assert outcome(df.family_from_json, text) == outcome(oracle_from_json, text)
 
 
 class TestElementSetSpecs:
