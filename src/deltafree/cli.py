@@ -169,13 +169,13 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    curve = estimate_survival(cfg, coupled=not args.independent)
+    curve = estimate_survival(cfg)
     if args.format == "json":
         payload = {
             "n": cfg.n,
             "definition": cfg.definition,
             "seed": cfg.seed,
-            "coupled": not args.independent,
+            "coupled": True,
         }
         payload.update(curve.as_json_dict())
         print(_json_text(payload))
@@ -236,11 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--definition", choices=sorted(DEFINITIONS), default="pairwise")
-    p.add_argument(
-        "--independent",
-        action="store_true",
-        help="fresh draws per grid point instead of coupled ones",
-    )
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_threshold)
     return parser

@@ -6,6 +6,10 @@ the ground set: take the odd-cardinality words whose intersection with
 Equivalently, over GF(2) these are exactly the words with odd trace
 against the complement ``s``; the second formulation is kept as an
 independent cross-check of the first.
+
+Recognition needs no rebuild: the singletons in the family of ``s`` are
+exactly the elements of ``s``, and 2^(n-1) words with odd trace against a
+nonempty ``s`` are all the words of that family.
 """
 
 from __future__ import annotations
@@ -75,29 +79,20 @@ def linear_form_family(n: int, s: int) -> Family:
     return Family(n, words[_vector_parity(words & np.uint32(s)) == 1])
 
 
-def recover_generator(family: Family) -> int:
-    """The ground elements not represented by singleton members, as a word.
-
-    Total on any family; the result equals the full ground word when the
-    family has no singletons, which no valid Generator accepts, so callers
-    decide validity (see :func:`recognize_generator`).
-    """
-    singles = 0
-    for w in family.members:
-        if w and not (w & (w - 1)):
-            singles |= w
-    return full_word(family.n) ^ singles
-
-
 def recognize_generator(family: Family) -> Generator | None:
-    """The Generator whose family equals ``family`` exactly, if one exists."""
-    sc = recover_generator(family)
-    if sc == full_word(family.n):
+    """The Generator whose family equals ``family`` exactly, if one exists.
+
+    One vectorized pass: ``s`` is the union of the singleton members, and
+    the answer is ``Generator(n, ground \\ s)`` iff the family has 2^(n-1)
+    members, ``s`` is nonempty and every member has odd trace against ``s``.
+    """
+    m = family._arr
+    if m.size != 1 << (family.n - 1):
         return None
-    gen = Generator(family.n, sc)
-    if generate_family(gen) == family:
-        return gen
-    return None
+    s = int(np.bitwise_or.reduce(m[(m & (m - 1)) == 0]))
+    if not _vector_parity(m & np.uint32(s)).all():  # also refuses s = 0
+        return None
+    return Generator(family.n, full_word(family.n) ^ s)
 
 
 def is_maximum_family(family: Family) -> bool:

@@ -2,10 +2,11 @@
 
 A subset of the ground set {1, ..., n} is a plain int: element i is bit
 i - 1, the empty set is 0, and the whole ground set is (1 << n) - 1.
-A :class:`Family` bundles a ground size with a deduplicated ascending
-tuple of member words plus a packed 2^n-bit membership table; everything
-downstream (construction, enumeration, partitioning, random sampling)
-operates on that pair of representations.
+A :class:`Family` bundles a ground size with its members stored once, as
+a deduplicated ascending ``uint32`` array, plus a packed 2^n-bit
+membership table derived from it; everything downstream (construction,
+enumeration, partitioning, random sampling) works on the array and the
+table.
 
 The expensive family predicates are decided bit-parallel: the xor
 pair-count vector of a family (how many ordered member pairs have a given
@@ -93,11 +94,6 @@ def elements_of(word: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def sym_diff(a: int, b: int) -> int:
-    """Symmetric difference of two set words: the elements in exactly one."""
-    return a ^ b
-
-
 def card_parity(a: int) -> Parity:
     """Parity of |a|."""
     return Parity(int(a).bit_count() & 1)
@@ -122,22 +118,37 @@ def _vector_parity(arr: np.ndarray) -> np.ndarray:
 class Family:
     """An immutable, deduplicated collection of set words over a fixed ground.
 
-    Members are stored ascending by word value (the canonical order used
-    everywhere for output and witnesses) together with a packed bit table
-    holding one present/absent flag per possible word.
+    The members are held once, as a read-only ``uint32`` array ascending by
+    word value (the canonical order used everywhere for output and
+    witnesses), together with a packed bit table holding one present/absent
+    flag per possible word.  Members are given as a 1-D integer array or
+    as an iterable of ints; anything else is refused rather than coerced.
     """
 
-    __slots__ = ("n", "members", "_arr", "_table", "_hash")
+    __slots__ = ("n", "_arr", "_table", "_hash")
 
     def __init__(self, n: int, members: Iterable[int] = ()) -> None:
         validate_ground(n)
         top = 1 << n
         if isinstance(members, np.ndarray):
+            if members.ndim != 1 or members.dtype.kind not in "iu":
+                raise ValueError(
+                    f"member array must be 1-D with an integer dtype, "
+                    f"got shape {members.shape} and dtype {members.dtype}"
+                )
             arr = members
-            if arr.ndim != 1 or not (arr[1:] > arr[:-1]).all():
-                arr = np.unique(arr)
+            if not (arr[1:] > arr[:-1]).all():
+                # sort and drop repeats; np.unique (numpy 2.4) is ~100x slower at 2^23 words
+                arr = np.sort(arr)
+                arr = arr[np.append(True, arr[1:] != arr[:-1])]
         else:
-            arr = np.fromiter(sorted({int(w) for w in members}), dtype=np.int64)
+            words = list(members)
+            if not all(type(w) is int for w in words):
+                for w in words:
+                    if not isinstance(w, (int, np.integer)) or isinstance(w, bool):
+                        raise ValueError(f"set word must be an int, got {w!r}")
+                words = [int(w) for w in words]
+            arr = np.array(sorted(set(words)), dtype=np.int64)
         if arr.size and (arr[0] < 0 or arr[-1] >= top):
             bad = arr[0] if arr[0] < 0 else arr[-1]
             raise ValueError(f"word {int(bad)} does not fit ground size {n}")
@@ -148,7 +159,6 @@ class Family:
         words.setflags(write=False)
         table.setflags(write=False)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "members", tuple(words.tolist()))
         object.__setattr__(self, "_arr", words)
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_hash", None)
@@ -156,11 +166,16 @@ class Family:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Family is immutable")
 
+    @property
+    def members(self) -> tuple[int, ...]:
+        """The member words as Python ints, ascending."""
+        return tuple(self._arr.tolist())
+
     def __len__(self) -> int:
-        return len(self.members)
+        return self._arr.size
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.members)
+        return iter(self._arr.tolist())
 
     def __contains__(self, word: int) -> bool:
         validate_word(word, self.n)
@@ -172,15 +187,15 @@ class Family:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Family):
             return NotImplemented
-        return self.n == other.n and self.members == other.members
+        return self.n == other.n and self._arr.tobytes() == other._arr.tobytes()
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.n, self.members)))
+            object.__setattr__(self, "_hash", hash((self.n, self._arr.tobytes())))
         return self._hash
 
     def __repr__(self) -> str:
-        return f"Family(n={self.n}, size={len(self.members)})"
+        return f"Family(n={self.n}, size={self._arr.size})"
 
     def table_bits(self) -> np.ndarray:
         """The membership table unpacked to one uint8 flag per word."""
@@ -195,10 +210,10 @@ def complement_family(family: Family) -> Family:
 
 def parity_census(family: Family) -> tuple[int, int]:
     """(even member count, odd member count)."""
-    if not family.members:
+    if not family._arr.size:
         return (0, 0)
     odd = int(_vector_parity(family._arr).sum())
-    return (len(family.members) - odd, odd)
+    return (family._arr.size - odd, odd)
 
 
 def all_odd_family(n: int) -> Family:
@@ -251,11 +266,6 @@ def _scan_is_cheaper(family: Family, limit: int = _SMALL_SCAN_LIMIT) -> bool:
     return m <= limit or (m * m) << 2 <= 1 << family.n
 
 
-def _gather_has(family: Family, words: np.ndarray) -> np.ndarray:
-    """Vectorized membership lookup straight off the packed table."""
-    return (family._table[words >> 3] >> (words & 7).astype(np.uint8)) & 1
-
-
 def is_delta_free(family: Family) -> bool:
     """True iff no member is the symmetric difference of two members.
 
@@ -273,7 +283,7 @@ def is_delta_free(family: Family) -> bool:
 
 def find_delta_violation(family: Family) -> tuple[int, int] | None:
     """The lexicographically first member pair (A, B) with A xor B a member."""
-    members = family.members
+    members = family._arr.tolist()
     for i, a in enumerate(members):
         for b in members[i:]:
             if family._has(a ^ b):
@@ -294,7 +304,7 @@ def is_delta_closed(family: Family) -> bool:
 
 def find_closure_violation(family: Family) -> tuple[int, int] | None:
     """The lexicographically first member pair whose difference is absent."""
-    members = family.members
+    members = family._arr.tolist()
     for i, a in enumerate(members):
         for b in members[i:]:
             if not family._has(a ^ b):
@@ -307,7 +317,7 @@ def _first_pair_collision(
 ) -> tuple[int, int, int, int] | None:
     """First (A, B, C, D), pairs scanned in canonical order, with
     combine(A, B) == combine(C, D), {A, B} != {C, D}, A < B, C < D."""
-    members = family.members
+    members = family._arr.tolist()
     seen: dict[int, tuple[int, int]] = {}
     collisions: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
     for i, a in enumerate(members):
@@ -342,7 +352,7 @@ def is_quadruple_delta_free(family: Family) -> bool:
     if not _scan_is_cheaper(family, 256):
         counts = xor_pair_counts(family)
         return bool((counts[1:] <= 2).all())
-    members = family.members
+    members = family._arr.tolist()
     seen: set[int] = set()
     for i, a in enumerate(members):
         for b in members[i + 1 :]:
@@ -364,7 +374,7 @@ def is_union_free(family: Family) -> bool:
     conventions as the quadruple difference check)."""
     if _pairs_outnumber_images(family):
         return False
-    members = family.members
+    members = family._arr.tolist()
     seen: set[int] = set()
     for i, a in enumerate(members):
         for b in members[i + 1 :]:

@@ -23,11 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construction import recognize_generator
-from .core import Family, _gather_has, is_delta_free, validate_ground
+from .core import Family, validate_ground, xor_pair_counts
 
 _ENUM_MAX_GROUND = 5
 _CANONICAL_MAX_GROUND = 8
-_EXTENSION_MAX_GROUND = 12
 _TIME_CHECK_STRIDE = 256
 
 
@@ -123,7 +122,7 @@ def enumerate_maximum_families(n: int, budget: float | None = None) -> Enumerati
 
 def verify_completeness(report: EnumerationReport) -> bool:
     """True iff the report holds all 2^n - 1 families and each one is
-    recognized by its recovered generator."""
+    recognized as a generated family."""
     if report.total != (1 << report.n) - 1:
         return False
     return all(recognize_generator(f) is not None for f in report.families)
@@ -156,29 +155,18 @@ def _class_size_census(families: tuple[Family, ...]) -> tuple[int, ...]:
     return tuple(sorted(groups.values()))
 
 
-def isomorphism_class_sizes(report: EnumerationReport) -> tuple[int, ...]:
-    """Sizes of the relabeling-equivalence classes, ascending."""
-    if report.n > _CANONICAL_MAX_GROUND:
-        raise ValueError(f"classification supports n <= {_CANONICAL_MAX_GROUND}")
-    return _class_size_census(report.families)
-
-
 def find_extension(family: Family) -> int | None:
     """The least nonempty word whose addition keeps the family delta-free,
     or None when the family is inclusion-maximal.
 
     Requires a delta-free input; probing whether inclusion-maximality can
-    occur below the maximum size is exactly what this exists for.
+    occur below the maximum size is exactly what this exists for.  One
+    xor pair-count vector serves both questions, for every n <= MAX_GROUND:
+    the family is delta-free iff no member is a member pair's difference,
+    and a word extends it iff it is absent and no member pair's difference.
     """
-    if family.n > _EXTENSION_MAX_GROUND:
-        raise ValueError(f"extension scan supports n <= {_EXTENSION_MAX_GROUND}")
-    if not is_delta_free(family):
+    counts = xor_pair_counts(family)
+    if counts[family._arr].any():
         raise ValueError("find_extension requires a delta-free family")
-    m = family._arr
-    for x in range(1, 1 << family.n):
-        if family._has(x):
-            continue
-        if m.size and _gather_has(family, x ^ m).any():
-            continue
-        return x
-    return None
+    free = np.flatnonzero((counts[1:] == 0) & (family.table_bits()[1:] == 0))
+    return int(free[0]) + 1 if free.size else None

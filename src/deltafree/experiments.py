@@ -8,8 +8,8 @@ splitmix-style mixer keyed on (seed, trial, word), so every figure is
 reproducible bit-for-bit on any platform and independent of evaluation
 order.
 
-By default one uniform per (trial, word) is shared across the whole
-p-grid and compared against each p.  Sampled families are then nested in
+One uniform per (trial, word) is shared across the whole p-grid and
+compared against each p.  Sampled families are then nested in
 p, and since every freeness predicate here is closed under taking
 subfamilies, each trial's survival indicator is non-increasing in p;
 the aggregated curve is exactly monotone, no statistical slack needed.
@@ -23,7 +23,6 @@ from typing import Callable, NamedTuple
 from .core import _CHECKS, Family, validate_ground
 
 _MASK64 = (1 << 64) - 1
-_GRID_SALT = 0xA3EC4E6F8C3A9D17
 
 # No "closed": the coupled sweep needs properties every subfamily keeps; closedness is not one.
 DEFINITIONS: dict[str, Callable[[Family], bool]] = {
@@ -142,12 +141,11 @@ def _half_crossing(points: list[SurvivalPoint]) -> float | None:
     return None
 
 
-def estimate_survival(cfg: ExperimentConfig, coupled: bool = True) -> SurvivalCurve:
+def estimate_survival(cfg: ExperimentConfig) -> SurvivalCurve:
     """Run the sweep and estimate survival per grid point.
 
-    ``coupled`` (default) shares each (trial, word) draw across the grid,
-    making every trial's survival indicator exactly monotone in p.  With
-    ``coupled=False`` each grid point uses its own draws.
+    Each (trial, word) draw is shared across the grid, making every trial's
+    survival indicator exactly monotone in p.
     """
     checker = DEFINITIONS[cfg.definition]
     size = 1 << cfg.n
@@ -155,20 +153,11 @@ def estimate_survival(cfg: ExperimentConfig, coupled: bool = True) -> SurvivalCu
     survivors = [0] * len(cfg.p_grid)
     for trial in range(cfg.trials):
         state = _trial_state(cfg.seed, trial)
-        if coupled:
-            draws = [_mix(state ^ w) for w in range(size)]
-            for gi, cutoff in enumerate(cutoffs):
-                fam = Family(cfg.n, [w for w in range(size) if draws[w] < cutoff])
-                if checker(fam):
-                    survivors[gi] += 1
-        else:
-            for gi, cutoff in enumerate(cutoffs):
-                gstate = _mix(state ^ (_GRID_SALT + gi))
-                fam = Family(
-                    cfg.n, [w for w in range(size) if _mix(gstate ^ w) < cutoff]
-                )
-                if checker(fam):
-                    survivors[gi] += 1
+        draws = [_mix(state ^ w) for w in range(size)]
+        for gi, cutoff in enumerate(cutoffs):
+            fam = Family(cfg.n, [w for w in range(size) if draws[w] < cutoff])
+            if checker(fam):
+                survivors[gi] += 1
     points = []
     for p, won in zip(cfg.p_grid, survivors):
         est = won / cfg.trials

@@ -67,7 +67,7 @@ def partition_family(family: Family, t: int) -> PartitionCounts:
     validate_word(t, family.n)
     counts: dict[ParityPair, int] = {}
     subfamilies: dict[ParityPair, Family] = {}
-    if family.members:
+    if family._arr.size:
         idx = _class_indices(family, int(t))
     else:
         idx = np.zeros(0, dtype=np.int64)
@@ -83,7 +83,7 @@ def partition_counts(family: Family, t: int) -> dict[ParityPair, int]:
     """Class sizes only; the fast path for exhaustive sweeps."""
     validate_word(t, family.n)
     counts = dict.fromkeys(ALL_CLASSES, 0)
-    if family.members:
+    if family._arr.size:
         binned = np.bincount(_class_indices(family, int(t)), minlength=4)
         for pair in ALL_CLASSES:
             counts[pair] = int(binned[(int(pair.card) << 1) | int(pair.trace)])

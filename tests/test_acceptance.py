@@ -74,8 +74,8 @@ def test_criterion_2_completeness_at_desk_scale():
 
 
 def test_criterion_3_isomorphism_classes():
-    sizes3 = df.isomorphism_class_sizes(df.enumerate_maximum_families(3))
-    sizes4 = df.isomorphism_class_sizes(df.enumerate_maximum_families(4))
+    sizes3 = df.enumerate_maximum_families(3).class_sizes
+    sizes4 = df.enumerate_maximum_families(4).class_sizes
     assert sorted(sizes3) == [1, 3, 3]
     assert sorted(sizes4) == [1, 4, 4, 6]
     _announce(3, "class multisets {1,3,3} and {1,4,6,4}")

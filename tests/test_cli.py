@@ -282,7 +282,7 @@ class TestStdoutMatchesJsonDumpsOracle:
         [
             ("--n", "3", "--steps", "11", "--trials", "50", "--seed", "3"),
             ("--n", "4", "--p-max", "0.02", "--steps", "3", "--trials", "20", "--definition", "union"),
-            ("--n", "3", "--steps", "1", "--trials", "5", "--independent"),
+            ("--n", "3", "--steps", "1", "--trials", "5"),
         ],
     )
     def test_threshold_json(self, capsys, args):
@@ -323,6 +323,9 @@ class TestTopLevel:
     )
     def test_removed_enumerate_option_is_usage_error(self, capsys, option):
         assert run_cli(capsys, "enumerate", "--n", "3", *option)[0] == 2
+
+    def test_removed_threshold_option_is_usage_error(self, capsys):
+        assert run_cli(capsys, "threshold", "--n", "3", "--steps", "1", "--independent")[0] == 2
 
     def test_console_script_smoke(self):
         pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -17,6 +18,35 @@ N4_CATALOG = fam(
 
 def all_generators(n):
     return [df.Generator(n, sc) for sc in range((1 << n) - 1)]
+
+
+def solve_gf2(cols, rhs, n):
+    """The word t with parity(cols[i] & t) = bit i of rhs for every i, that
+    is M^T t = rhs for the matrix M with columns ``cols``; None if M is
+    singular."""
+    eqs = [[c, rhs >> i & 1] for i, c in enumerate(cols)]
+    for bit in range(n):
+        pivot = next((i for i in range(bit, n) if eqs[i][0] >> bit & 1), None)
+        if pivot is None:
+            return None
+        eqs[bit], eqs[pivot] = eqs[pivot], eqs[bit]
+        for i in range(n):
+            if i != bit and eqs[i][0] >> bit & 1:
+                eqs[i][0] ^= eqs[bit][0]
+                eqs[i][1] ^= eqs[bit][1]
+    return sum(b << i for i, (_, b) in enumerate(eqs))
+
+
+def apply_gf2(cols, words):
+    """M w for every word, M given by its columns, one 256-entry table per byte."""
+    out = np.zeros_like(words)
+    byte = np.arange(256, dtype=np.uint32)
+    for k in range(0, len(cols), 8):
+        table = np.zeros(256, dtype=np.uint32)
+        for i, c in enumerate(cols[k : k + 8]):
+            table ^= (byte >> i & 1) * np.uint32(c)
+        out ^= table[words >> k & 0xFF]
+    return out
 
 
 class TestGenerator:
@@ -124,18 +154,18 @@ class TestLinearFormFamily:
 class TestRecoverAndRecognize:
     def test_all_odd_recovers_empty_sc(self):
         for n in range(1, 9):
-            assert df.recover_generator(df.all_odd_family(n)) == 0
+            assert df.recognize_generator(df.all_odd_family(n)) == df.Generator(n, 0)
 
     def test_catalog_family_recovers_3_4(self):
         # the singleton members are {1} and {2}, so sc = {3,4}; the family
         # defined by {3} alone would contain {4}, which is absent here
-        sc = df.recover_generator(N4_CATALOG)
-        assert sc == df.word_of([3, 4], 4)
-        assert df.generate_family(df.Generator(4, sc)) == N4_CATALOG
+        gen = df.recognize_generator(N4_CATALOG)
+        assert gen.sc == df.word_of([3, 4], 4)
+        assert df.generate_family(gen) == N4_CATALOG
 
-    def test_no_singletons_recovers_full_word(self):
-        f = fam(3, (1, 2), (1, 3))
-        assert df.recover_generator(f) == df.full_word(3)
+    def test_no_singletons_is_not_recognized(self):
+        f = fam(3, (1, 2), (1, 3), (2, 3), (1, 2, 3))  # right size, no singletons
+        assert df.recognize_generator(f) is None
 
     def test_recognize_round_trip_exhaustive_through_n12(self):
         for n in range(1, 13):
@@ -155,6 +185,31 @@ class TestRecoverAndRecognize:
         f = fam(3, (1,), (1, 2))
         assert df.recognize_generator(f) is None
 
+    @pytest.mark.parametrize("n", [16, 21, 24])
+    def test_recognize_at_large_n(self, n):
+        rng = random.Random(n)
+        full = df.full_word(n)
+        g = df.Generator(n, rng.randrange(full))
+        f = df.generate_family(g)
+        assert df.recognize_generator(f) == g
+
+        # M A(s) = A(M^-T s) for an invertible M over GF(2)
+        t = None
+        while t is None:
+            cols = [rng.getrandbits(n) for _ in range(n)]
+            t = solve_gf2(cols, g.s, n)
+        moved = df.Family(n, apply_gf2(cols, f._arr))
+        assert df.recognize_generator(moved) == df.Generator(n, full ^ t)
+
+        # one member swapped for an even-trace word
+        words = f._arr
+        swapped = np.append(np.delete(words, rng.randrange(words.size)), words[0] ^ words[-1])
+        assert df.recognize_generator(df.Family(n, swapped)) is None
+
+        # right size, no singletons
+        nonzero = np.arange(1, full + 1, dtype=np.uint32)
+        no_singletons = nonzero[(nonzero & (nonzero - 1)) != 0][: 1 << (n - 1)]
+        assert df.recognize_generator(df.Family(n, no_singletons)) is None
 
 class TestIsMaximumFamily:
     def test_all_odd_is_maximum(self):

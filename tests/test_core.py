@@ -25,17 +25,8 @@ words8 = st.integers(min_value=0, max_value=255)
 
 class TestWordAlgebra:
     def test_sym_diff_example(self):
-        assert df.sym_diff(df.word_of([1, 2], 3), df.word_of([2, 3], 3)) == df.word_of(
-            [1, 3], 3
-        )
-
-    @given(words8)
-    def test_self_difference_is_empty(self, a):
-        assert df.sym_diff(a, a) == 0
-
-    @given(words8)
-    def test_empty_is_identity(self, a):
-        assert df.sym_diff(a, 0) == a
+        # xor of two words is the word of their symmetric difference
+        assert df.word_of([1, 2], 3) ^ df.word_of([2, 3], 3) == df.word_of([1, 3], 3)
 
     def test_xor_group_laws_exhaustive_n8(self):
         all_words = np.arange(256, dtype=np.uint32)
@@ -88,6 +79,24 @@ class TestFamily:
     def test_dedupe_and_canonical_order(self):
         f = df.Family(3, [5, 1, 5, 3])
         assert f.members == (1, 3, 5)
+        assert df.Family(3, [np.int64(5), np.uint8(1)]).members == (1, 5)
+
+    @pytest.mark.parametrize(
+        "members",
+        [
+            [1.5, 2.0],
+            ["3"],
+            [True],
+            [1, np.float64(2.0)],
+            np.array([1.0, 2.0]),
+            np.array([True]),
+            np.array([[1, 2]]),
+        ],
+        ids=["floats", "str", "bool", "numpy-float", "float-array", "bool-array", "2d-array"],
+    )
+    def test_non_integer_words_rejected(self, members):
+        with pytest.raises(ValueError):
+            df.Family(3, members)
 
     @given(st.integers(min_value=1, max_value=8).flatmap(
         lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=20))

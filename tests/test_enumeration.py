@@ -4,7 +4,9 @@ forms, isomorphism censuses, and the extension probe."""
 from __future__ import annotations
 
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 import deltafree as df
@@ -124,14 +126,14 @@ class TestCanonicalForm:
 
 class TestIsomorphismClasses:
     def test_n2_sizes(self):
-        assert df.isomorphism_class_sizes(df.enumerate_maximum_families(2)) == (1, 2)
+        assert df.enumerate_maximum_families(2).class_sizes == (1, 2)
 
     def test_n3_sizes(self):
-        assert df.isomorphism_class_sizes(df.enumerate_maximum_families(3)) == (1, 3, 3)
+        assert df.enumerate_maximum_families(3).class_sizes == (1, 3, 3)
 
     def test_n4_sizes(self):
         report = df.enumerate_maximum_families(4)
-        assert df.isomorphism_class_sizes(report) == (1, 4, 4, 6)
+        assert report.class_sizes == (1, 4, 4, 6)
 
 
 class TestFindExtension:
@@ -168,6 +170,17 @@ class TestFindExtension:
         with pytest.raises(ValueError):
             df.find_extension(df.Family(3, [0]))
 
-    def test_ground_too_large(self):
+    @pytest.mark.parametrize("n", [13, 16, 21])
+    def test_large_ground(self, n):
+        rng = random.Random(n)
+        full = df.full_word(n)
+        maximum = df.generate_family(df.Generator(n, rng.randrange(full)))
+        words = maximum._arr
+        i = rng.randrange(words.size)
+        # Every other absent word is a difference of at least 2^(n-1) - 2
+        # ordered member pairs, so the removed word is the only extension.
+        assert df.find_extension(df.Family(n, np.delete(words, i))) == words[i]
+        assert df.find_extension(maximum) is None
+        assert df.find_extension(df.Family(n, [])) == 1
         with pytest.raises(ValueError):
-            df.find_extension(df.Family(13, [1]))
+            df.find_extension(df.Family(n, np.append(words, words[0] ^ words[1])))

@@ -114,13 +114,6 @@ class TestEstimateSurvival:
             )
             assert pt.trials == 50
 
-    def test_independent_mode_is_deterministic_too(self):
-        cfg = small_cfg(trials=60)
-        a = df.estimate_survival(cfg, coupled=False)
-        b = df.estimate_survival(cfg, coupled=False)
-        assert a.as_csv() == b.as_csv()
-        assert a.points[0].estimate == 1.0 and a.points[-1].estimate == 0.0
-
     @pytest.mark.parametrize("definition", ["quadruple", "union"])
     def test_other_definitions_run(self, definition):
         curve = df.estimate_survival(small_cfg(definition=definition, trials=30))
