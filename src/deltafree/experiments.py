@@ -9,10 +9,10 @@ reproducible bit-for-bit on any platform and independent of evaluation
 order.
 
 One uniform per (trial, word) is shared across the whole p-grid and
-compared against each p.  Sampled families are then nested in
-p, and since every freeness predicate here is closed under taking
-subfamilies, each trial's survival indicator is non-increasing in p;
-the aggregated curve is exactly monotone, no statistical slack needed.
+compared against each p.  Sampled families are then nested in p, and
+since every freeness predicate here is closed under taking subfamilies,
+each trial's survival indicator is non-increasing in p; the aggregated
+curve is exactly monotone, no statistical slack needed.
 """
 
 from __future__ import annotations
