@@ -12,12 +12,21 @@ class census.
 The search state fits in two machine-word bitmasks over the 2^n possible
 words, so the whole thing is plain int arithmetic.  One serial search
 finds every family; results are sorted, so output is deterministic.
+
+The canonical form is the relabeling whose membership string (one flag
+per word, word 0 first) is greatest, which is the one with the least
+sorted member tuple.  It is built one target bit at a time: the flags of
+the words below 2^(j+1) depend only on which source elements went to
+target bits 0..j, so each level extends every surviving partial map by
+every unused element and keeps all those whose new block of flags is
+greatest.  Ties are kept until the last level, so the result is exact
+without visiting the n! relabelings one by one.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,28 +139,46 @@ def verify_completeness(report: EnumerationReport) -> bool:
 
 def canonical_form(family: Family) -> Family:
     """Lexicographically least relabeling of the family over all
-    permutations of the ground set; equal canonical forms mean isomorphic."""
+    permutations of the ground set; equal canonical forms mean isomorphic.
+
+    Relabelings keep the size, and of two equal-size families the one
+    with the smaller sorted members holds the least word of their
+    symmetric difference; so the search (see the module docstring) looks
+    for the greatest membership string, keeping every tied partial map.
+    """
     n = family.n
     if n > _CANONICAL_MAX_GROUND:
         raise ValueError(f"canonical form supports n <= {_CANONICAL_MAX_GROUND}")
-    m = family._arr
-    if m.size == 0:
+    if family._arr.size == 0:
         return family
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.uint32)
-    relabeled = np.zeros((perms.shape[0], m.size), dtype=np.uint32)
-    for i in range(n):
-        bit = ((m >> i) & 1).astype(np.uint32)
-        relabeled |= bit[None, :] << perms[:, i][:, None]
-    relabeled.sort(axis=1)
-    best = relabeled[np.lexsort(relabeled.T[::-1])[0]]
-    return Family(n, best)
+    ind = family.table_bits()
+    # Per surviving partial map: the source word of each target word fixed
+    # so far (every word fits a uint8 at n <= 8), and its unused elements.
+    pre = np.zeros((1, 1), dtype=np.uint8)
+    free = np.ones((1, n), dtype=bool)
+    for j in range(n):
+        # every (partial map, unused element) pair; element -> target bit j
+        branch, elem = np.nonzero(free)
+        # source words of target words 2^j .. 2^(j+1) - 1
+        block = pre[branch] | (1 << elem).astype(np.uint8)[:, None]
+        # packed big-endian, the bytes compare as the flag strings do
+        packed = np.packbits(ind[block], axis=1)
+        best = np.arange(branch.size)
+        for col in packed.T:
+            if best.size == 1:
+                break
+            col = col[best]
+            best = best[col == col.max()]
+        if j == n - 1:
+            best = best[:1]  # the survivors relabel to the same family
+        pre = np.concatenate((pre[branch[best]], block[best]), axis=1)
+        free = free[branch[best]]
+        free[np.arange(best.size), elem[best]] = False
+    return Family(n, np.flatnonzero(ind[pre[0]]))
 
 
 def _class_size_census(families: tuple[Family, ...]) -> tuple[int, ...]:
-    groups: dict[tuple[int, ...], int] = {}
-    for f in families:
-        key = canonical_form(f).members
-        groups[key] = groups.get(key, 0) + 1
+    groups = Counter(canonical_form(f)._arr.tobytes() for f in families)
     return tuple(sorted(groups.values()))
 
 

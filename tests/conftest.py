@@ -15,6 +15,7 @@ import json
 import re
 
 import hypothesis.strategies as st
+import numpy as np
 
 import deltafree as df
 
@@ -55,6 +56,37 @@ def naive_quadruple_free(members) -> bool:
 def naive_union_free(members) -> bool:
     images = list(_pair_images(members, lambda a, b: a | b))
     return len(images) == len(set(images))
+
+
+def naive_quadruple_collision(members):
+    """First (A, B, C, D): (A, B) the first pair in scan order whose xor
+    another pair shares, (C, D) the first such other pair."""
+    pairs = list(itertools.combinations(sorted(members), 2))
+    by_xor: dict[int, list] = {}
+    for a, b in pairs:
+        by_xor.setdefault(a ^ b, []).append((a, b))
+    for a, b in pairs:
+        same = by_xor[a ^ b]
+        if len(same) > 1:
+            return (a, b) + same[1]
+    return None
+
+
+def naive_canonical_form(family: df.Family) -> df.Family:
+    """Least relabeling by brute force: all n! relabelings, each sorted,
+    then the lexicographically least row."""
+    n = family.n
+    m = family._arr
+    if m.size == 0:
+        return family
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.uint32)
+    relabeled = np.zeros((perms.shape[0], m.size), dtype=np.uint32)
+    for i in range(n):
+        bit = ((m >> i) & 1).astype(np.uint32)
+        relabeled |= bit[None, :] << perms[:, i][:, None]
+    relabeled.sort(axis=1)
+    best = relabeled[np.lexsort(relabeled.T[::-1])[0]]
+    return df.Family(n, best)
 
 
 def naive_generate(n: int, sc: int) -> set[int]:

@@ -101,6 +101,20 @@ class TestCheck:
         assert out.splitlines()[0] == "NOT-FREE(quadruple)"
         assert out.splitlines()[1:] == ["witness:", "1", "2", "1 3", "2 3"]
 
+    @pytest.mark.parametrize(
+        "sc, witness",
+        [("3,4,9", "1\n2\n1 3\n2 3\n"), ("1,5", "2\n1 2\n3\n1 3\n")],
+    )
+    def test_quadruple_witness_on_n13_maximum_family(self, capsys, tmp_path, sc, witness):
+        # 4,096 members: the witness comes from the pair counts; the bytes
+        # are those the full pair scan printed
+        path = tmp_path / "f.txt"
+        family = df.generate_family(df.Generator(13, df.parse_element_set(sc, 13)))
+        path.write_text(df.family_to_lines(family))
+        code, out, _ = run_cli(capsys, "check", "--file", str(path), "--definition", "quadruple")
+        assert code == 1
+        assert out == "NOT-FREE(quadruple)\nwitness:\n" + witness
+
     def test_malformed_file_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "f.txt"
         path.write_text("3 1\n")

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import operator
+import random
 
 import numpy as np
 import pytest
@@ -10,12 +12,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import deltafree as df
-from deltafree.core import _scan_is_cheaper
+from deltafree.core import _first_pair_collision, _quadruple_from_counts, _scan_is_cheaper
 from conftest import (
     fam,
     family_strategy,
     naive_delta_closed,
     naive_delta_free,
+    naive_quadruple_collision,
     naive_quadruple_free,
     naive_union_free,
 )
@@ -302,6 +305,37 @@ class TestQuadrupleFree:
         # pigeonhole exit decides it; TestWideGroundTransform covers the transform
         f = df.all_odd_family(10)
         assert df.is_quadruple_delta_free(f) == naive_quadruple_free(f.members)
+
+    @given(family_strategy(max_n=8))
+    def test_counts_witness_matches_pair_scan(self, f):
+        expected = _first_pair_collision(f, operator.xor)
+        assert expected == naive_quadruple_collision(f.members)
+        assert _quadruple_from_counts(f) == expected
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_counts_witness_matches_pair_scan_dense(self, n):
+        rng = random.Random(n)
+        for density in (0.05, 0.1, 0.2, 0.5, 0.9):
+            f = df.Family(n, [w for w in range(1 << n) if rng.random() < density])
+            expected = _first_pair_collision(f, operator.xor)
+            assert expected == naive_quadruple_collision(f.members)
+            assert _quadruple_from_counts(f) == expected
+
+    @pytest.mark.parametrize("n", [10, 11, 12, 13])
+    def test_maximum_family_witness_matches_pair_scan(self, n):
+        # 2^(n-1) members: the witness comes from the pair counts
+        f = df.generate_family(df.Generator(n, random.Random(n).randrange((1 << n) - 1)))
+        assert not _scan_is_cheaper(f, 32)
+        assert df.find_quadruple_collision(f) == _first_pair_collision(f, operator.xor)
+
+    @pytest.mark.parametrize("n", [10, 12, 16])
+    def test_witness_matches_pair_scan_across_size_cutoff(self, n):
+        rng = random.Random(n)
+        cutoff = max(32, 1 << (n - 2) // 2)  # the last size that is pair-scanned
+        for m in (cutoff, cutoff + 1, 2 * cutoff):
+            f = df.Family(n, rng.sample(range(1 << n), m))
+            assert _scan_is_cheaper(f, 32) == (m == cutoff)
+            assert df.find_quadruple_collision(f) == _first_pair_collision(f, operator.xor)
 
     @pytest.mark.parametrize("size", [6, 7])
     def test_pigeonhole_boundary_matches_naive_oracle(self, size):

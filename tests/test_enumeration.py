@@ -8,9 +8,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given
 
 import deltafree as df
-from conftest import fam, naive_delta_free
+from conftest import fam, family_strategy, naive_canonical_form, naive_delta_free
 
 
 def generated_catalog(n):
@@ -122,6 +123,44 @@ class TestCanonicalForm:
     def test_ground_too_large(self):
         with pytest.raises(ValueError):
             df.canonical_form(df.Family(9, [1]))
+
+
+class TestCanonicalFormMatchesNaiveScan:
+    """The bit-by-bit search against the scan of all n! relabelings."""
+
+    @staticmethod
+    def assert_matches(f):
+        assert df.canonical_form(f).members == naive_canonical_form(f).members
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_generated_family(self, n):
+        for f in generated_catalog(n):
+            self.assert_matches(f)
+
+    def test_one_generated_family_per_class_n8(self):
+        # A(s)'s class depends only on |s|, and s = ground minus sc
+        for k in range(8):
+            self.assert_matches(df.generate_family(df.Generator(8, (1 << k) - 1)))
+
+    @given(family_strategy(max_n=6))
+    @example(df.Family(5))
+    @example(df.Family(3, [0]))
+    @example(df.Family(4, [0, 3, 5, 6, 9, 15]))
+    @example(df.Family(3, [6]))  # every first-level branch ties; only the later levels tell
+    @example(df.Family(3, [3, 6]))  # two branches tie until the last level
+    def test_random_families(self, f):
+        self.assert_matches(f)
+
+    def test_unions_of_cardinality_layers(self):
+        # invariant under every relabeling, so every partial map ties
+        for n in range(1, 7):
+            for layers in range(1 << (n + 1)):
+                words = [w for w in range(1 << n) if layers >> w.bit_count() & 1]
+                self.assert_matches(df.Family(n, words))
+
+    def test_all_odd_family_n8(self):
+        # the worst case: all 8! partial maps survive to the last level
+        self.assert_matches(df.all_odd_family(8))
 
 
 class TestIsomorphismClasses:
