@@ -16,9 +16,11 @@ vector work for every supported n.  The counts are exact although the
 second transform's partial sums (up to 2^(3n)) overflow int64: the
 transform only adds and subtracts, so wrapping int64 arithmetic yields the
 true result modulo 2^64, and the true result 2^n * counts[w] <= 2^n * |F|
-<= 2^48 lies below 2^63, so the wrapped value is the true one.  Witness
-extraction always runs the plain deterministic scan so failures are
-reported as the lexicographically first violating tuple.
+<= 2^48 lies below 2^63, so the wrapped value is the true one.  Every
+witness is the lexicographically first violating tuple.  The pairwise,
+closure and union witnesses come from a plain deterministic scan; the
+quadruple witness keeps that scan while ``_scan_is_cheaper(F, 32)`` holds
+and past it reads the first repeated difference off the pair counts.
 """
 
 from __future__ import annotations

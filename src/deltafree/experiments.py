@@ -8,21 +8,33 @@ splitmix-style mixer keyed on (seed, trial, word), so every figure is
 reproducible bit-for-bit on any platform and independent of evaluation
 order.
 
-One uniform per (trial, word) is shared across the whole p-grid and
-compared against each p.  Sampled families are then nested in p, and
-since every freeness predicate here is closed under taking subfamilies,
-each trial's survival indicator is non-increasing in p; the aggregated
-curve is exactly monotone, no statistical slack needed.
+One 64-bit draw per (trial, word) is shared across the whole p-grid: the
+family at p holds the words drawn below ``_threshold(p)``.  Families are
+then nested in p, and every freeness predicate here is closed under taking
+subfamilies, so each trial is decided by one number, its death draw: the
+draw of the first word, in increasing draw order, whose addition breaks
+freeness, or 2^64 if the whole power set is free.  The trial survives at p
+iff ``_threshold(p) <= death``.  Draws are distinct (the mixer is a
+bijection), so this gives exactly the counts of sampling and checking the
+family at every grid point, and the curve is exactly monotone.  The sweep
+builds no ``Family`` and calls no predicate; ``random_family`` and the
+predicates are the route tests compare it against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .core import _CHECKS, Family, validate_ground
 
 _MASK64 = (1 << 64) - 1
+# Words converted to Python ints at a time: a trial usually dies within the
+# first few hundred draws, so at large n most of the order stays in numpy.
+_ORDER_CHUNK = 256
 
 # No "closed": the coupled sweep needs properties every subfamily keeps; closedness is not one.
 DEFINITIONS: dict[str, Callable[[Family], bool]] = {
@@ -115,6 +127,20 @@ class SurvivalCurve:
         }
 
 
+def _draws(n: int, seed: int, trial_index: int) -> np.ndarray:
+    """Every word's 64-bit draw, ``_mix(state ^ w)`` for w in 0..2^n - 1, in
+    wrapping ``uint64`` arithmetic (the finalizer's multiplies are taken
+    modulo 2^64 in both forms, so the two agree bit for bit)."""
+    x = np.arange(1 << n, dtype=np.uint64)
+    x ^= np.uint64(_trial_state(seed, trial_index))
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
+
+
 def random_family(n: int, p: float, seed: int, trial_index: int) -> Family:
     """One p-random subfamily of the power set, including the empty set.
 
@@ -124,9 +150,70 @@ def random_family(n: int, p: float, seed: int, trial_index: int) -> Family:
     validate_ground(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p} outside [0, 1]")
-    state = _trial_state(seed, trial_index)
     cutoff = _threshold(p)
-    return Family(n, [w for w in range(1 << n) if _mix(state ^ w) < cutoff])
+    if cutoff > _MASK64:
+        return Family(n, np.arange(1 << n))
+    return Family(n, np.flatnonzero(_draws(n, seed, trial_index) < np.uint64(cutoff)))
+
+
+# Each scan takes words in increasing draw order (every prefix is the
+# sampled family at some p) and returns the first word whose addition to
+# the prefix before it breaks freeness, or None if the whole power set is
+# free.  A prefix that is still free only needs the new pairs checked.
+
+
+def _first_break_pairwise(words: Iterable[int]) -> int | None:
+    """x breaks a free prefix iff x = 0 (x ^ x = 0 is then a member) or x is
+    the xor of two prefix words (x ^ a = b puts x on a line with a and b)."""
+    prefix: list[int] = []
+    sums: set[int] = set()
+    for x in words:
+        if x == 0 or x in sums:
+            return x
+        sums.update([x ^ a for a in prefix])
+        prefix.append(x)
+    return None
+
+
+def _first_break_quadruple(words: Iterable[int]) -> int | None:
+    """x breaks a free prefix iff some x ^ a is a prefix pair's difference;
+    the new differences x ^ a are distinct among themselves."""
+    prefix: list[int] = []
+    diffs: set[int] = set()
+    for x in words:
+        new = [x ^ a for a in prefix]
+        if not diffs.isdisjoint(new):
+            return x
+        diffs.update(new)
+        prefix.append(x)
+    return None
+
+
+def _first_break_union(words: Iterable[int]) -> int | None:
+    """x breaks a free prefix iff some x | a is a prefix pair's union, or two
+    of the new unions x | a, x | b coincide."""
+    prefix: list[int] = []
+    unions: set[int] = set()
+    for x in words:
+        new = {x | a for a in prefix}
+        if len(new) < len(prefix) or not unions.isdisjoint(new):
+            return x
+        unions.update(new)
+        prefix.append(x)
+    return None
+
+
+_FIRST_BREAK: dict[str, Callable[[Iterable[int]], int | None]] = {
+    "pairwise": _first_break_pairwise,
+    "quadruple": _first_break_quadruple,
+    "union": _first_break_union,
+}
+
+
+def _in_draw_order(draws: np.ndarray) -> Iterator[int]:
+    order = np.argsort(draws)
+    for start in range(0, order.size, _ORDER_CHUNK):
+        yield from order[start : start + _ORDER_CHUNK].tolist()
 
 
 def _half_crossing(points: list[SurvivalPoint]) -> float | None:
@@ -144,22 +231,21 @@ def _half_crossing(points: list[SurvivalPoint]) -> float | None:
 def estimate_survival(cfg: ExperimentConfig) -> SurvivalCurve:
     """Run the sweep and estimate survival per grid point.
 
-    Each (trial, word) draw is shared across the grid, making every trial's
-    survival indicator exactly monotone in p.
+    Each trial is decided once, by its death draw: the draw of the first
+    word, in draw order, whose addition breaks freeness (2^64 if none does).
+    The trial's family at p is the set of words drawn below ``_threshold(p)``,
+    so it is free iff ``_threshold(p) <= death``.
     """
-    checker = DEFINITIONS[cfg.definition]
-    size = 1 << cfg.n
-    cutoffs = [_threshold(p) for p in cfg.p_grid]
-    survivors = [0] * len(cfg.p_grid)
+    first_break = _FIRST_BREAK[cfg.definition]
+    deaths = []
     for trial in range(cfg.trials):
-        state = _trial_state(cfg.seed, trial)
-        draws = [_mix(state ^ w) for w in range(size)]
-        for gi, cutoff in enumerate(cutoffs):
-            fam = Family(cfg.n, [w for w in range(size) if draws[w] < cutoff])
-            if checker(fam):
-                survivors[gi] += 1
+        draws = _draws(cfg.n, cfg.seed, trial)
+        x = first_break(_in_draw_order(draws))
+        deaths.append(1 << 64 if x is None else int(draws[x]))
+    deaths.sort()
     points = []
-    for p, won in zip(cfg.p_grid, survivors):
+    for p in cfg.p_grid:
+        won = cfg.trials - bisect_left(deaths, _threshold(p))
         est = won / cfg.trials
         stderr = (est * (1.0 - est) / cfg.trials) ** 0.5
         points.append(SurvivalPoint(p=p, estimate=est, stderr=stderr, trials=cfg.trials))

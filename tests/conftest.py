@@ -18,6 +18,7 @@ import hypothesis.strategies as st
 import numpy as np
 
 import deltafree as df
+from deltafree.experiments import _half_crossing
 
 
 def fam(n: int, *sets: tuple[int, ...]) -> df.Family:
@@ -87,6 +88,21 @@ def naive_canonical_form(family: df.Family) -> df.Family:
     relabeled.sort(axis=1)
     best = relabeled[np.lexsort(relabeled.T[::-1])[0]]
     return df.Family(n, best)
+
+
+def naive_survival(cfg: df.ExperimentConfig) -> df.SurvivalCurve:
+    """The sweep point by point: every (trial, p) family sampled afresh with
+    random_family and judged by the definition's predicate."""
+    checker = df.DEFINITIONS[cfg.definition]
+    points = []
+    for p in cfg.p_grid:
+        won = sum(
+            checker(df.random_family(cfg.n, p, cfg.seed, trial)) for trial in range(cfg.trials)
+        )
+        est = won / cfg.trials
+        stderr = (est * (1.0 - est) / cfg.trials) ** 0.5
+        points.append(df.SurvivalPoint(p=p, estimate=est, stderr=stderr, trials=cfg.trials))
+    return df.SurvivalCurve(points=tuple(points), crossing=_half_crossing(points))
 
 
 def naive_generate(n: int, sc: int) -> set[int]:

@@ -1,13 +1,19 @@
 """Random subfamily sampling and the survival sweep: endpoint contracts,
-determinism, coupling monotonicity, and the closed-form sanity bound."""
+determinism, coupling monotonicity, the vector mixer against the scalar
+one, the death-draw sweep against the per-point loop, the closed-form
+sanity bound, and the exact survival curve at n <= 3."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
+from conftest import naive_survival
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deltafree as df
+from deltafree.experiments import _draws, _mix, _trial_state
 
 GRID21 = tuple(i / 20 for i in range(21))
 
@@ -53,6 +59,18 @@ class TestRandomFamily:
             df.random_family(3, 1.5, 0, 0)
 
 
+class TestDraws:
+    @pytest.mark.parametrize(
+        "seed, trial",
+        [(0, 0), (1, 1), (7, 3), (2024, 1999), (2**32 + 5, 17), (2**63, 0),
+         (2**64 - 1, 2**40), (12345, 2**64), (2**63 + 99, 2**64 + 7)],
+    )
+    def test_vector_mixer_matches_scalar_mix(self, seed, trial):
+        state = _trial_state(seed, trial)
+        expected = [_mix(state ^ w) for w in range(1 << 10)]
+        assert _draws(10, seed, trial).tolist() == expected
+
+
 class TestConfigValidation:
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
@@ -86,13 +104,21 @@ class TestEstimateSurvival:
         cfg = small_cfg(trials=120)
         assert df.estimate_survival(cfg).as_csv() == df.estimate_survival(cfg).as_csv()
 
-    def test_harness_families_match_random_family(self):
-        # the sweep and the standalone sampler share the draw contract
-        cfg = small_cfg(trials=5)
-        for trial in range(cfg.trials):
-            for p in cfg.p_grid:
-                expected = df.random_family(cfg.n, p, cfg.seed, trial)
-                assert expected == df.random_family(cfg.n, p, cfg.seed, trial)
+    def test_matches_per_point_oracle(self):
+        # grids hold 0.0 and 1.0: at n = 1 the quadruple and union rules keep
+        # the whole power set free, so those trials never die
+        for n in range(1, 7):
+            p_max = min(1.0, 2.0 / n)
+            grid = (0.0,) + tuple(p_max * i / 10 for i in range(1, 10)) + (1.0,)
+            for definition in ("pairwise", "quadruple", "union"):
+                for seed in (0, 9, 2**63 + 1):
+                    cfg = df.ExperimentConfig(
+                        n=n, p_grid=grid, trials=25, seed=seed, definition=definition
+                    )
+                    expected = naive_survival(cfg)
+                    curve = df.estimate_survival(cfg)
+                    assert curve.as_csv() == expected.as_csv(), (n, definition, seed)
+                    assert curve.crossing == expected.crossing, (n, definition, seed)
 
     def test_crossing_interpolates_between_grid_points(self):
         cfg = df.ExperimentConfig(n=4, p_grid=GRID21, trials=400, seed=17)
@@ -141,3 +167,40 @@ class TestEstimateSurvival:
 # Filled by running the configuration above once and freezing the result;
 # see test_pinned_regression_curve.
 PINNED_ESTIMATES = [1.0, 0.12, 0.0]
+
+
+def _free_counts(n: int, definition: str) -> list[int]:
+    """c_k, the number of free subfamilies of size k, by brute force over all
+    2^(2^n) subfamilies through the library predicate."""
+    size = 1 << n
+    counts = [0] * (size + 1)
+    checker = df.DEFINITIONS[definition]
+    for mask in range(1 << size):
+        family = df.Family(n, [w for w in range(size) if mask >> w & 1])
+        if checker(family):
+            counts[len(family)] += 1
+    return counts
+
+
+class TestExactSurvival:
+    # seed, trials and the |z| bound were fixed before the first run
+    @pytest.mark.parametrize("definition", ["pairwise", "quadruple", "union"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_estimate_within_four_stderr(self, n, definition):
+        trials = 20_000
+        counts = _free_counts(n, definition)
+        cfg = df.ExperimentConfig(
+            n=n, p_grid=GRID21, trials=trials, seed=1, definition=definition
+        )
+        for pt in df.estimate_survival(cfg).points:
+            # S_n(p) = sum_k c_k p^k (1 - p)^(2^n - k), in rationals so that
+            # S = 0 and S = 1 come out exact
+            q = Fraction(pt.p)
+            exact = sum(
+                c * q**k * (1 - q) ** (len(counts) - 1 - k) for k, c in enumerate(counts)
+            )
+            if exact in (0, 1):
+                assert pt.estimate == exact, (pt.p, exact)
+            else:
+                sigma = float(exact * (1 - exact) / trials) ** 0.5
+                assert abs(pt.estimate - exact) <= 4 * sigma, (pt.p, pt.estimate, exact)
