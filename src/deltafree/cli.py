@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__
 from .construction import Generator, generate_family, recognize_generator
 from .core import _CHECKS, Family, elements_of
-from .enumeration import EnumerationBudgetError, enumerate_maximum_families
+from .enumeration import enumerate_maximum_families
 from .experiments import DEFINITIONS, ExperimentConfig, estimate_survival
 from .partition import ALL_CLASSES, partition_family
 from .serialization import (
@@ -97,15 +97,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     family = _load_family(args.file, args.n)
-    predicate, witness_fn = _CHECKS[args.definition]
+    witness = _CHECKS[args.definition](family)
     tag = "" if args.definition == "pairwise" else f"({args.definition})"
-    if predicate(family):
+    if witness is None:
         print(f"FREE{tag}")
         return 0
-    witness = witness_fn(family)
     print(f"NOT-FREE{tag}")
-    if witness is not None:
-        print("\n".join(["witness:", *render_sets(witness, LINES_STYLE)]))
+    print("\n".join(["witness:", *render_sets(witness, LINES_STYLE)]))
     return 1
 
 
@@ -121,7 +119,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    report = enumerate_maximum_families(args.n, budget=args.budget)
+    report = enumerate_maximum_families(args.n)
     payload: dict = {
         "n": report.n,
         "total": report.total,
@@ -219,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="exhaustively list maximum families")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--classes", action="store_true", help="include isomorphism class sizes")
-    p.add_argument("--budget", type=float, default=None, help="time budget in seconds")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("partition", help="four-class parity split against --t")
@@ -249,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CliError, EnumerationBudgetError, ValueError) as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

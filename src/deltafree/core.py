@@ -17,15 +17,19 @@ second transform's partial sums (up to 2^(3n)) overflow int64: the
 transform only adds and subtracts, so wrapping int64 arithmetic yields the
 true result modulo 2^64, and the true result 2^n * counts[w] <= 2^n * |F|
 <= 2^48 lies below 2^63, so the wrapped value is the true one.  Every
-witness is the lexicographically first violating tuple.  The pairwise,
-closure and union witnesses come from a plain deterministic scan; the
-quadruple witness keeps that scan while ``_scan_is_cheaper(F, 32)`` holds
-and past it reads the first repeated difference off the pair counts.
+witness is the lexicographically first violating tuple.  The pairwise and
+closure checks are their witness finders (``is_*`` is ``find_* is None``):
+a pair scan while ``_scan_is_cheaper(F)`` holds, past it one pair-count
+vector that gives the witness's first member and then its partner.  The
+quadruple witness keeps its pair scan while ``_scan_is_cheaper(F, 32)``
+holds and past it reads the first repeated difference off the pair counts;
+the union witness always scans every pair.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -138,11 +142,11 @@ class Family:
                     f"member array must be 1-D with an integer dtype, "
                     f"got shape {members.shape} and dtype {members.dtype}"
                 )
-            arr = members
-            if not (arr[1:] > arr[:-1]).all():
+            words = members
+            if not (words[1:] > words[:-1]).all():
                 # sort and drop repeats; np.unique (numpy 2.4) is ~100x slower at 2^23 words
-                arr = np.sort(arr)
-                arr = arr[np.append(True, arr[1:] != arr[:-1])]
+                words = np.sort(words)
+                words = words[np.append(True, words[1:] != words[:-1])]
         else:
             words = list(members)
             if not all(type(w) is int for w in words):
@@ -150,11 +154,12 @@ class Family:
                     if not isinstance(w, (int, np.integer)) or isinstance(w, bool):
                         raise ValueError(f"set word must be an int, got {w!r}")
                 words = [int(w) for w in words]
-            arr = np.array(sorted(set(words)), dtype=np.int64)
-        if arr.size and (arr[0] < 0 or arr[-1] >= top):
-            bad = arr[0] if arr[0] < 0 else arr[-1]
+            words = sorted(set(words))
+        # checked before the uint32 cast, so ints past int64 get this error too
+        if len(words) and (words[0] < 0 or words[-1] >= top):
+            bad = words[0] if words[0] < 0 else words[-1]
             raise ValueError(f"word {int(bad)} does not fit ground size {n}")
-        words = arr.astype(np.uint32)
+        words = np.array(words, dtype=np.uint32)
         table = np.zeros(max(1, top >> 3), dtype=np.uint8)
         if words.size:
             np.bitwise_or.at(table, words >> 3, (1 << (words & 7)).astype(np.uint8))
@@ -268,50 +273,58 @@ def _scan_is_cheaper(family: Family, limit: int = _SMALL_SCAN_LIMIT) -> bool:
     return m <= limit or (m * m) << 2 <= 1 << family.n
 
 
+def _first_member_pair(family: Family, present: bool) -> tuple[int, int] | None:
+    """The lexicographically first member pair (A, B), A <= B, for which
+    ``(A xor B in family) == present``.
+
+    Past ``_scan_is_cheaper`` one ``xor_pair_counts`` call finds the row:
+    counts[A] is the number of members B with A xor B a member, so A has a
+    partner iff counts[A] > 0 (present) or counts[A] < |F| (absent).  The
+    least such A is the first pair's A, since a partner B < A would itself
+    be an earlier such member; its least partner B >= A is one vectorized
+    lookup.
+    """
+    m = family._arr
+    if _scan_is_cheaper(family):
+        members = m.tolist()
+        for i, a in enumerate(members):
+            for b in members[i:]:
+                if family._has(a ^ b) == present:
+                    return (a, b)
+        return None
+    counts = xor_pair_counts(family)[m]
+    rows = np.flatnonzero(counts > 0 if present else counts < m.size)
+    if not rows.size:
+        return None
+    i = rows[0]
+    a = m[i]
+    hit = np.flatnonzero(family.table_bits()[m[i:] ^ a] == present)
+    return (int(a), int(m[i + hit[0]]))
+
+
+def find_delta_violation(family: Family) -> tuple[int, int] | None:
+    """The lexicographically first member pair (A, B) with A xor B a member."""
+    if family._arr.size and family._arr[0] == 0:  # the empty set is A xor A
+        return (0, 0)
+    return _first_member_pair(family, True)
+
+
 def is_delta_free(family: Family) -> bool:
     """True iff no member is the symmetric difference of two members.
 
     Pairs include A = B, so any family containing the empty set fails.
     """
-    m = family._arr
-    if m.size == 0:
-        return True
-    if m[0] == 0:  # empty set present: it equals A xor A
-        return False
-    if _scan_is_cheaper(family):
-        return find_delta_violation(family) is None
-    return not xor_pair_counts(family)[m].any()
-
-
-def find_delta_violation(family: Family) -> tuple[int, int] | None:
-    """The lexicographically first member pair (A, B) with A xor B a member."""
-    members = family._arr.tolist()
-    for i, a in enumerate(members):
-        for b in members[i:]:
-            if family._has(a ^ b):
-                return (a, b)
-    return None
-
-
-def is_delta_closed(family: Family) -> bool:
-    """True iff the symmetric difference of any two members is a member."""
-    m = family._arr
-    if m.size == 0:
-        return True
-    if _scan_is_cheaper(family):
-        return find_closure_violation(family) is None
-    counts = xor_pair_counts(family)
-    return not ((counts != 0) & (family.table_bits() == 0)).any()
+    return find_delta_violation(family) is None
 
 
 def find_closure_violation(family: Family) -> tuple[int, int] | None:
     """The lexicographically first member pair whose difference is absent."""
-    members = family._arr.tolist()
-    for i, a in enumerate(members):
-        for b in members[i:]:
-            if not family._has(a ^ b):
-                return (a, b)
-    return None
+    return _first_member_pair(family, False)
+
+
+def is_delta_closed(family: Family) -> bool:
+    """True iff the symmetric difference of any two members is a member."""
+    return find_closure_violation(family) is None
 
 
 def _first_pair_collision(
@@ -336,6 +349,20 @@ def _first_pair_collision(
     return (a, b, c, d)
 
 
+def _pairs_collide(family: Family, combine) -> bool:
+    """Whether two distinct member pairs share combine(A, B); stops at the
+    first repeat."""
+    members = family._arr.tolist()
+    seen: set[int] = set()
+    for i, a in enumerate(members):
+        for b in members[i + 1 :]:
+            key = combine(a, b)
+            if key in seen:
+                return True
+            seen.add(key)
+    return False
+
+
 def _pairs_outnumber_images(family: Family) -> bool:
     """Pigeonhole: the xor or union of a distinct pair is a nonzero word, so
     more than 2^n - 1 distinct pairs force two of them to collide."""
@@ -354,15 +381,7 @@ def is_quadruple_delta_free(family: Family) -> bool:
     if not _scan_is_cheaper(family, 256):
         counts = xor_pair_counts(family)
         return bool((counts[1:] <= 2).all())
-    members = family._arr.tolist()
-    seen: set[int] = set()
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            d = a ^ b
-            if d in seen:
-                return False
-            seen.add(d)
-    return True
+    return not _pairs_collide(family, operator.xor)
 
 
 def find_quadruple_collision(family: Family) -> tuple[int, int, int, int] | None:
@@ -375,7 +394,7 @@ def find_quadruple_collision(family: Family) -> tuple[int, int, int, int] | None
     n = 12, 175 at n = 16, about 650 at n = 20 and 2,300 at n = 24.
     """
     if _scan_is_cheaper(family, 32):
-        return _first_pair_collision(family, lambda a, b: a ^ b)
+        return _first_pair_collision(family, operator.xor)
     return _quadruple_from_counts(family)
 
 
@@ -410,26 +429,19 @@ def is_union_free(family: Family) -> bool:
     conventions as the quadruple difference check)."""
     if _pairs_outnumber_images(family):
         return False
-    members = family._arr.tolist()
-    seen: set[int] = set()
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            u = a | b
-            if u in seen:
-                return False
-            seen.add(u)
-    return True
+    return not _pairs_collide(family, operator.or_)
 
 
 def find_union_collision(family: Family) -> tuple[int, int, int, int] | None:
     """Witness for is_union_free: first (A, B, C, D) with A ∪ B = C ∪ D."""
-    return _first_pair_collision(family, lambda a, b: a | b)
+    return _first_pair_collision(family, operator.or_)
 
 
-# Every freeness definition by name: (predicate, lexicographically first witness).
+# Every freeness definition by name, to its lexicographically first witness
+# (None when the family satisfies the definition).
 _CHECKS = {
-    "pairwise": (is_delta_free, find_delta_violation),
-    "quadruple": (is_quadruple_delta_free, find_quadruple_collision),
-    "union": (is_union_free, find_union_collision),
-    "closed": (is_delta_closed, find_closure_violation),
+    "pairwise": find_delta_violation,
+    "quadruple": find_quadruple_collision,
+    "union": find_union_collision,
+    "closed": find_closure_violation,
 }

@@ -36,15 +36,6 @@ from .core import Family, validate_ground, xor_pair_counts
 
 _ENUM_MAX_GROUND = 5
 _CANONICAL_MAX_GROUND = 8
-_TIME_CHECK_STRIDE = 256
-
-
-class EnumerationBudgetError(RuntimeError):
-    """Raised when the time budget runs out; carries the partial results."""
-
-    def __init__(self, message: str, partial: tuple[tuple[int, ...], ...] = ()):
-        super().__init__(message)
-        self.partial = partial
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,8 +56,6 @@ def _dfs(
     cand: int,
     need: int,
     out: list[tuple[int, ...]],
-    deadline: float | None,
-    counter: list[int],
 ) -> None:
     """Collect every completion of ``prefix`` using candidate words ``cand``.
 
@@ -79,13 +68,6 @@ def _dfs(
     while cand:
         if cand.bit_count() < need:
             return
-        counter[0] += 1
-        if deadline is not None and counter[0] % _TIME_CHECK_STRIDE == 0:
-            if time.monotonic() > deadline:
-                raise EnumerationBudgetError(
-                    f"enumeration budget exhausted with {len(out)} families found",
-                    tuple(out),
-                )
         low = cand & -cand
         cand ^= low
         x = low.bit_length() - 1
@@ -93,27 +75,22 @@ def _dfs(
         for y in prefix:
             newly |= 1 << (x ^ y)
         prefix.append(x)
-        _dfs(n, prefix, cand & ~newly, need - 1, out, deadline, counter)
+        _dfs(n, prefix, cand & ~newly, need - 1, out)
         prefix.pop()
 
 
-def enumerate_maximum_families(n: int, budget: float | None = None) -> EnumerationReport:
+def enumerate_maximum_families(n: int) -> EnumerationReport:
     """Every delta-free family of size exactly 2^(n-1), 2 <= n <= 5.
 
     Deterministic: families are sorted lexicographically by member words.
-    A ``budget`` in seconds aborts the search with
-    :class:`EnumerationBudgetError` rather than returning a truncated report.
     """
     validate_ground(n)
     if not 2 <= n <= _ENUM_MAX_GROUND:
         raise ValueError(f"enumeration supports 2 <= n <= {_ENUM_MAX_GROUND}")
-    if budget is not None and budget <= 0:
-        raise EnumerationBudgetError("enumeration budget exhausted before start")
-    deadline = None if budget is None else time.monotonic() + budget
     start = time.monotonic()
     raw: list[tuple[int, ...]] = []
     # every word except the empty set is a candidate
-    _dfs(n, [], (1 << (1 << n)) - 2, 1 << (n - 1), raw, deadline, [0])
+    _dfs(n, [], (1 << (1 << n)) - 2, 1 << (n - 1), raw)
     raw.sort()
     families = tuple(Family(n, words) for words in raw)
     elapsed = time.monotonic() - start

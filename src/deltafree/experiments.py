@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .core import _CHECKS, Family, validate_ground
+from .core import Family, is_delta_free, is_quadruple_delta_free, is_union_free, validate_ground
 
 _MASK64 = (1 << 64) - 1
 # Words converted to Python ints at a time: a trial usually dies within the
@@ -38,7 +38,9 @@ _ORDER_CHUNK = 256
 
 # No "closed": the coupled sweep needs properties every subfamily keeps; closedness is not one.
 DEFINITIONS: dict[str, Callable[[Family], bool]] = {
-    name: _CHECKS[name][0] for name in ("pairwise", "quadruple", "union")
+    "pairwise": is_delta_free,
+    "quadruple": is_quadruple_delta_free,
+    "union": is_union_free,
 }
 
 
@@ -83,6 +85,10 @@ class ExperimentConfig:
                 raise ValueError(f"probability {p} outside [0, 1]")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("p_grid must be strictly increasing")
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.definition not in DEFINITIONS:

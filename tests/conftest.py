@@ -44,6 +44,26 @@ def naive_delta_closed(members) -> bool:
     return True
 
 
+def _first_member_pair(members, present: bool):
+    pool = set(members)
+    ordered = sorted(members)
+    for i, a in enumerate(ordered):
+        for b in ordered[i:]:
+            if (a ^ b in pool) == present:
+                return (a, b)
+    return None
+
+
+def naive_delta_violation(members):
+    """Lexicographically first (A, B), A <= B, with A xor B a member."""
+    return _first_member_pair(members, True)
+
+
+def naive_closure_violation(members):
+    """Lexicographically first (A, B), A <= B, with A xor B not a member."""
+    return _first_member_pair(members, False)
+
+
 def _pair_images(members, combine):
     for a, b in itertools.combinations(sorted(members), 2):
         yield combine(a, b)

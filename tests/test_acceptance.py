@@ -60,7 +60,7 @@ def test_criterion_2_completeness_at_desk_scale():
     assert small_elapsed < 10.0
 
     start5 = time.monotonic()
-    report5 = df.enumerate_maximum_families(5, budget=600.0)
+    report5 = df.enumerate_maximum_families(5)
     elapsed5 = time.monotonic() - start5
     assert report5.total == 31
     assert df.verify_completeness(report5)

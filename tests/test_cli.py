@@ -115,6 +115,27 @@ class TestCheck:
         assert code == 1
         assert out == "NOT-FREE(quadruple)\nwitness:\n" + witness
 
+    @pytest.mark.parametrize("definition", ["pairwise", "closed", "quadruple", "union"])
+    @pytest.mark.parametrize("spoil", [False, True], ids=["clean", "corrupt"])
+    def test_one_transform_per_check(self, capsys, tmp_path, monkeypatch, definition, spoil):
+        # n = 12 maximum family: 2,048 members, past every pair-scan cutoff
+        family = df.generate_family(df.Generator(12, df.word_of([2, 5], 12)))
+        if spoil:
+            a, b = family.members[5:7]
+            family = df.Family(12, family.members + (a ^ b,))
+        path = tmp_path / "f.txt"
+        path.write_text(df.family_to_lines(family))
+        calls = []
+        transform = df.core.xor_pair_counts
+        monkeypatch.setattr(
+            df.core, "xor_pair_counts", lambda f: calls.append(f) or transform(f)
+        )
+        code, _, _ = run_cli(capsys, "check", "--file", str(path), "--definition", definition)
+        assert code == (0 if definition == "pairwise" and not spoil else 1)
+        assert len(calls) <= 1
+        if definition in ("pairwise", "closed"):
+            assert len(calls) == 1
+
     def test_malformed_file_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "f.txt"
         path.write_text("3 1\n")
@@ -333,7 +354,9 @@ class TestTopLevel:
         assert run_cli(capsys, "generate", "--bogus")[0] == 2
 
     @pytest.mark.parametrize(
-        "option", [("--jobs", "2"), ("--cache-dir", "x")], ids=["jobs", "cache-dir"]
+        "option",
+        [("--jobs", "2"), ("--cache-dir", "x"), ("--budget", "1")],
+        ids=["jobs", "cache-dir", "budget"],
     )
     def test_removed_enumerate_option_is_usage_error(self, capsys, option):
         assert run_cli(capsys, "enumerate", "--n", "3", *option)[0] == 2

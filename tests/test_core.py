@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from math import isqrt
 import operator
 import random
 
@@ -16,8 +17,10 @@ from deltafree.core import _first_pair_collision, _quadruple_from_counts, _scan_
 from conftest import (
     fam,
     family_strategy,
+    naive_closure_violation,
     naive_delta_closed,
     naive_delta_free,
+    naive_delta_violation,
     naive_quadruple_collision,
     naive_quadruple_free,
     naive_union_free,
@@ -99,6 +102,15 @@ class TestFamily:
     )
     def test_non_integer_words_rejected(self, members):
         with pytest.raises(ValueError):
+            df.Family(3, members)
+
+    @pytest.mark.parametrize(
+        "members, bad",
+        [([2**63], 2**63), ([1, -(2**70)], -(2**70)), ([2**64, 8], 2**64)],
+        ids=["2^63", "-2^70", "2^64"],
+    )
+    def test_words_past_int64_rejected(self, members, bad):
+        with pytest.raises(ValueError, match=f"^word {bad} does not fit ground size 3$"):
             df.Family(3, members)
 
     @given(st.integers(min_value=1, max_value=8).flatmap(
@@ -200,6 +212,10 @@ class TestDeltaFree:
         assert (df.find_delta_violation(f) is None) == expected
 
     @given(family_strategy(max_n=6))
+    def test_witness_matches_naive_oracle(self, f):
+        assert df.find_delta_violation(f) == naive_delta_violation(f.members)
+
+    @given(family_strategy(max_n=6))
     def test_witness_actually_violates(self, f):
         witness = df.find_delta_violation(f)
         if witness is not None:
@@ -248,10 +264,81 @@ class TestDeltaClosed:
         assert df.is_delta_closed(f) == expected
         assert (df.find_closure_violation(f) is None) == expected
 
+    @given(family_strategy(max_n=6))
+    def test_witness_matches_naive_oracle(self, f):
+        assert df.find_closure_violation(f) == naive_closure_violation(f.members)
+
     def test_transform_path_on_large_subspace(self):
         evens = [w for w in range(256) if bin(w).count("1") % 2 == 0]
         assert df.is_delta_closed(df.Family(8, evens))
         assert not df.is_delta_closed(df.Family(8, evens[1:]))
+
+
+def _past_scan_cutoff_families() -> list[df.Family]:
+    """Seeded families of 49..200 words at n = 8..14, all decided by the pair
+    counts: random words, part of a maximum family (free) and a subspace
+    (closed), each with planted violations and with and without 0."""
+    rng = random.Random(8)
+    out = []
+    for n in range(8, 15):
+        size = rng.randint(max(49, isqrt(1 << (n - 2)) + 1), 200)
+        words = rng.sample(range(1 << n), size)
+        maximum = df.generate_family(df.Generator(n, rng.randrange((1 << n) - 1))).members
+        free = rng.sample(maximum, min(size, len(maximum)))
+        a, b = rng.sample(free, 2)
+        span = {0}
+        for v in rng.sample(range(1, 1 << n), 7):
+            span |= {w ^ v for w in span}
+        span = sorted(span)
+        removed = rng.choice(span[1:])
+        outside = rng.choice([w for w in range(1 << n) if w not in span])
+        for members in (
+            words,
+            words + [0],
+            free,
+            free + [a ^ b],
+            free + [0],
+            span,
+            span[1:],
+            [w for w in span if w != removed],
+            span + [outside],
+        ):
+            out.append(df.Family(n, members))
+    return out
+
+
+class TestMemberPairWitnesses:
+    """The pairwise and closure witnesses past the scan cutoff, where one
+    pair-count vector gives the first member and a lookup its partner."""
+
+    @pytest.mark.parametrize(
+        "find, is_ok, naive",
+        [
+            (df.find_delta_violation, df.is_delta_free, naive_delta_violation),
+            (df.find_closure_violation, df.is_delta_closed, naive_closure_violation),
+        ],
+        ids=["pairwise", "closure"],
+    )
+    def test_transform_witnesses_match_naive_oracle(self, find, is_ok, naive):
+        families = _past_scan_cutoff_families()
+        assert not any(_scan_is_cheaper(f) for f in families)
+        witnesses = []
+        for f in families:
+            want = naive(f.members)
+            assert find(f) == want
+            assert is_ok(f) == (want is None)
+            witnesses.append(want)
+        # the data holds free families and witnesses whose first member is
+        # not the least member and whose partner differs from it
+        assert None in witnesses
+        assert any(w and w[0] != f._arr[0] and w[1] != w[0] for f, w in zip(families, witnesses))
+
+    @pytest.mark.parametrize("n", [21, 24])
+    def test_maximum_family(self, n):
+        f = df.generate_family(df.Generator(n, 0b1011))
+        low = int(f._arr[0])
+        assert df.find_delta_violation(f) is None
+        assert df.find_closure_violation(f) == (low, low)
 
 
 class TestQuadrupleFree:

@@ -69,10 +69,6 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             df.enumerate_maximum_families(6)
 
-    def test_budget_exhaustion_raises_with_partial(self):
-        with pytest.raises(df.EnumerationBudgetError):
-            df.enumerate_maximum_families(5, budget=0)
-
     def test_removing_a_family_breaks_completeness(self):
         report = df.enumerate_maximum_families(3)
         clipped = df.EnumerationReport(

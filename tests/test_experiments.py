@@ -84,6 +84,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_cfg(trials=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("trials", 2.5), ("trials", True), ("trials", "40"), ("seed", 1.5), ("seed", False)],
+    )
+    def test_trials_and_seed_must_be_ints(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            small_cfg(**{field: value})
+
     def test_definition_known(self):
         with pytest.raises(ValueError):
             small_cfg(definition="sideways")
