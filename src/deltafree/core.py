@@ -23,7 +23,7 @@ a pair scan while ``_scan_is_cheaper(F)`` holds, past it one pair-count
 vector that gives the witness's first member and then its partner.  The
 quadruple witness keeps its pair scan while ``_scan_is_cheaper(F, 32)``
 holds and past it reads the first repeated difference off the pair counts;
-the union witness always scans every pair.
+the union witness is a pair scan, which stops early only on a free family.
 """
 
 from __future__ import annotations
@@ -331,7 +331,12 @@ def _first_pair_collision(
     family: Family, combine
 ) -> tuple[int, int, int, int] | None:
     """First (A, B, C, D), pairs scanned in canonical order, with
-    combine(A, B) == combine(C, D), {A, B} != {C, D}, A < B, C < D."""
+    combine(A, B) == combine(C, D), {A, B} != {C, D}, A < B, C < D.
+
+    An early-exit scan settles a free family; otherwise every pair is
+    scanned, since the first pair to collide may collide only later."""
+    if not _pairs_collide(family, combine):
+        return None
     members = family._arr.tolist()
     seen: dict[int, tuple[int, int]] = {}
     collisions: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
@@ -388,10 +393,11 @@ def find_quadruple_collision(family: Family) -> tuple[int, int, int, int] | None
     """Witness for is_quadruple_delta_free: first (A, B, C, D) with
     A xor B = C xor D across distinct pairs.
 
-    The witness scan never stops early, so it keeps the pair scan only up to
-    32 members or while m^2 <= 2^(n-2): measured on random families (2-vCPU
-    x86_64, numpy 2.4), the counts path wins from m = 37 at n <= 8, 74 at
-    n = 12, 175 at n = 16, about 650 at n = 20 and 2,300 at n = 24.
+    The witness scan of a family that collides never stops early, so it keeps
+    the pair scan only up to 32 members or while m^2 <= 2^(n-2): measured on
+    random families (2-vCPU x86_64, numpy 2.4), the counts path wins from
+    m = 37 at n <= 8, 74 at n = 12, 175 at n = 16, about 650 at n = 20 and
+    2,300 at n = 24.
     """
     if _scan_is_cheaper(family, 32):
         return _first_pair_collision(family, operator.xor)

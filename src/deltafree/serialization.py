@@ -10,17 +10,24 @@ ground size exactly.  Sets are always emitted in canonical family order
 
 Writers render each word from two precomputed tables, one for its low 12
 bits (elements 1..12) and one for bits 12..23 (elements 13..24).  Readers
-convert a whole file in bulk; any input the bulk pass does not accept
-(comments, blank lines, unusual spacing, or anything invalid) is parsed
-again set by set, which yields the result or the error message.
+work in blocks: they cut the text at set boundaries into blocks of about
+2^18 characters, tokenize each with numpy and join the words into one
+family, so their memory beyond the text and the words is one block's
+worth.  A lines block must hold only ``-`` or plain ascending elements
+split by single spaces.  The json fast path takes only the writer's exact
+layout: its header, then each block accepted only if rendering its words
+gives the block back byte for byte, so it reads what ``json.loads`` would.
+Any other input (comments, blank lines, other spacing or layout, or
+anything invalid) is parsed set by set, with the same results and error
+messages.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
-from typing import Iterable
+import re
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -32,7 +39,17 @@ EMPTY_SET_TOKEN = "-"
 # How one set prints: (between elements, before them, after them, the empty set).
 LINES_STYLE = (" ", "", "", EMPTY_SET_TOKEN)
 INLINE_JSON_STYLE = (", ", "[", "]", "[]")
-_DOCUMENT_STYLE = (",\n      ", "[\n      ", "\n    ]", "[]")
+# Inside its brackets in the json document; the writer adds the brackets.
+_JSON_SET_STYLE = (",\n      ", "\n      ", "\n    ", "")
+
+# The writer's json layout: the head up to and after the ground size, then
+# either nothing or _SETS_OPEN, the sets inside their brackets joined by
+# _JSON_SEP, and _SETS_CLOSE; then the tail.
+_HEAD_TO_N = '{\n  "format": ' + json.dumps(FORMAT_TAG) + ',\n  "n": '
+_HEAD_AFTER_N = ',\n  "sets": ['
+_HEAD_PATTERN = re.compile(re.escape(_HEAD_TO_N) + "([1-9][0-9]*)" + re.escape(_HEAD_AFTER_N))
+_JSON_TAIL = "]\n}\n"
+_SETS_OPEN, _JSON_SEP, _SETS_CLOSE = "\n    [", "],\n    [", "]\n  "
 
 _HALF_BITS = 12
 _HALF_MASK = (1 << _HALF_BITS) - 1
@@ -77,37 +94,50 @@ def family_to_lines(family: Family) -> str:
 
 def family_to_json(family: Family) -> str:
     """The json document, laid out as ``json.dumps(..., indent=2)`` does."""
-    sets = render_sets(family._arr.tolist(), _DOCUMENT_STYLE)
-    body = "\n    " + ",\n    ".join(sets) + "\n  " if sets else ""
-    return f'{{\n  "format": {json.dumps(FORMAT_TAG)},\n  "n": {family.n},\n  "sets": [{body}]\n}}\n'
+    sets = render_sets(family._arr.tolist(), _JSON_SET_STYLE)
+    body = _SETS_OPEN + _JSON_SEP.join(sets) + _SETS_CLOSE if sets else ""
+    return f"{_HEAD_TO_N}{family.n}{_HEAD_AFTER_N}{body}{_JSON_TAIL}"
 
 
-def _words_of_elements(values: np.ndarray, owner: np.ndarray, count: int) -> np.ndarray | None:
-    """The word of each of ``count`` sets from all their elements in order,
-    ``owner`` naming the set of each; None unless every element lies in
-    1..MAX_GROUND and each set's elements strictly increase."""
-    if values.size and (values.min() < 1 or values.max() > MAX_GROUND):
-        return None
-    if ((owner[1:] == owner[:-1]) & (values[1:] <= values[:-1])).any():
-        return None
-    # A set's bits are distinct, so their sum is their union; each sum is
-    # below 2^24, so float64 holds it exactly.
-    bits = np.left_shift(1, values.astype(np.int64) - 1)
-    return np.bincount(owner, weights=bits, minlength=count).astype(np.int64)
+# Readers cut files into blocks of whole sets of about this many characters,
+# so that their temporaries stay bounded however large the file.
+_BLOCK_CHARS = 1 << 18
+
+# Entry v: the bit of element v, or 0 where v is no element (v < 100).
+_ELEMENT_BITS = np.zeros(100, dtype=np.uint32)
+_ELEMENT_BITS[1 : MAX_GROUND + 1] = 1 << np.arange(MAX_GROUND)
 
 
-def _bulk_lines(text: str) -> np.ndarray | None:
-    """The words of a lines file whose every line is ``-`` or 1- and
-    2-digit elements split by single spaces; None for any other text."""
+def _read_blocks(
+    text: str, start: int, stop: int, sep: str, parse: Callable[[str], np.ndarray | None]
+) -> np.ndarray | None:
+    """The words of the sets in text[start:stop], which ``sep`` separates:
+    ``parse`` reads each block of whole sets; None once it refuses one."""
+    blocks = []
+    while True:
+        cut = text.find(sep, start + _BLOCK_CHARS, stop)
+        if cut < 0:
+            cut = stop
+        words = parse(text[start:cut])
+        if words is None:
+            return None
+        blocks.append(words)
+        if cut == stop:
+            return np.concatenate(blocks)
+        start = cut + len(sep)
+
+
+def _lines_block(text: str) -> np.ndarray | None:
+    """The words of lines that are each ``-`` or 1- and 2-digit elements,
+    strictly increasing and split by single spaces; None for any other text."""
     if not text.isascii():
         return None
-    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    # Padded so that each line lies between two newlines.
+    buf = np.frombuffer(f"\n{text}\n".encode("ascii"), dtype=np.uint8)
     newline = buf == ord("\n")
-    ends = np.flatnonzero(newline)
-    if buf.size and not newline[-1]:
-        ends = np.append(ends, buf.size)
-    starts = np.concatenate(([0], ends + 1))[:-1]
-    if (ends == starts).any():
+    breaks = np.flatnonzero(newline)
+    width = np.diff(breaks)
+    if (width == 1).any():
         return None  # a blank line
     digits = buf - np.uint8(ord("0"))
     digit = digits < 10
@@ -115,24 +145,29 @@ def _bulk_lines(text: str) -> np.ndarray | None:
     dash = buf == ord("-")
     if not (digit | space | newline | dash).all():
         return None
-    if dash.sum() != (dash[starts] & (ends - starts == 1)).sum():
+    if dash.sum() != (dash[breaks[:-1] + 1] & (width == 2)).sum():
         return None  # a dash that is not a whole line
-    before = np.insert(digit[:-1], 0, False)
-    after = np.append(digit[1:], False)
-    if (space & ~(before & after)).any():
+    if (space[1:-1] & ~(digit[:-2] & digit[2:])).any():
         return None  # a space not between two digits
-    first = np.flatnonzero(digit & ~before)
-    last = np.flatnonzero(digit & ~after)
+    edges = np.flatnonzero(digit[1:] != digit[:-1])
+    first, last = edges[::2] + 1, edges[1::2]
     if (last - first > 1).any():
         return None  # three or more digits
     values = digits[last] + digits[first] * (last > first) * np.uint8(10)
-    line = np.cumsum(newline, dtype=np.int32)
-    return _words_of_elements(values, line[first], ends.size)
+    if values.size and (values.min() < 1 or values.max() > MAX_GROUND):
+        return None
+    line = np.cumsum(newline, dtype=np.int32)[first] - 1
+    if ((line[1:] == line[:-1]) & (values[1:] <= values[:-1])).any():
+        return None  # elements not strictly increasing
+    # A set's bits are distinct, so their sum is their union; each sum is
+    # below 2^24, so float64 holds it exactly.
+    bits = _ELEMENT_BITS[values]
+    return np.bincount(line, weights=bits, minlength=width.size).astype(np.uint32)
 
 
 def family_from_lines(text: str, n: int | None = None) -> Family:
     """Parse lines format; ``n`` defaults to the largest element present."""
-    words = _bulk_lines(text)
+    words = _read_blocks(text, 0, len(text) - text.endswith("\n"), "\n", _lines_block)
     if words is not None:
         ground = n if n is not None else max(1, int(words.max(initial=0)).bit_length())
         try:
@@ -174,23 +209,65 @@ def _family_of_sets(n: int, sets: list[tuple[int, ...]]) -> Family:
     return Family(n, words)
 
 
-def _bulk_sets(sets: list) -> np.ndarray | None:
-    """The words of a json ``sets`` list in one flat pass; None unless every
-    set is a list of ints that strictly increase within 1..MAX_GROUND."""
-    if not set(map(type, sets)) <= {list}:
+def _json_block(block: str) -> np.ndarray | None:
+    """The words of sets joined by _JSON_SEP, or None unless rendering them
+    gives the block back byte for byte.
+
+    Each run of digits reads as the element its first two digits spell, in
+    the set between the "]" bytes around it.  Text that this misreads is
+    text the writer cannot print, and it renders differently, so the check
+    alone decides what is accepted.
+    """
+    if not block.isascii():
         return None
-    flat = list(itertools.chain.from_iterable(sets))
-    if not set(map(type, flat)) <= {int}:
+    # Padded so that each set, and each run of digits, has a "]" or another
+    # non-digit byte on both sides.
+    buf = np.frombuffer(f"]{block}]".encode("ascii"), dtype=np.uint8)
+    digits = buf - np.uint8(ord("0"))
+    is_digit = digits < 10
+    first = np.flatnonzero(is_digit[1:] != is_digit[:-1])[::2] + 1
+    tens, units = digits[first], digits[first + 1]
+    values = np.where(units < 10, tens * np.uint8(10) + units, tens)
+    # Prefix sums of the element bits wrap modulo 2^32, which leaves every
+    # word below 2^32 exact.
+    sums = np.zeros(first.size + 1, dtype=np.uint32)
+    np.cumsum(_ELEMENT_BITS[values], out=sums[1:])
+    ends = sums[np.searchsorted(first, np.flatnonzero(buf == ord("]")))]
+    words = ends[1:] - ends[:-1]
+    if words.max() >> MAX_GROUND:
+        return None  # repeated elements; render_sets takes words below 2^24
+    if _JSON_SEP.join(render_sets(words.tolist(), _JSON_SET_STYLE)) != block:
+        return None
+    return words
+
+
+def _layout_json(text: str) -> Family | None:
+    """The family of a document in the writer's exact layout; None for
+    any other text, or for a ground size or element the family refuses."""
+    head = _HEAD_PATTERN.match(text)
+    if head is None or not text.endswith(_JSON_TAIL):
+        return None
+    start, stop = head.end(), len(text) - len(_JSON_TAIL)
+    if start == stop:
+        words = np.zeros(0, dtype=np.uint32)
+    elif text.startswith(_SETS_OPEN, start, stop) and text.endswith(_SETS_CLOSE, start, stop):
+        # no byte of _SETS_OPEN is "]", so the two do not overlap
+        start, stop = start + len(_SETS_OPEN), stop - len(_SETS_CLOSE)
+        words = _read_blocks(text, start, stop, _JSON_SEP, _json_block)
+    else:
+        return None
+    if words is None:
         return None
     try:
-        values = np.array(flat, dtype=np.int64)
-    except OverflowError:
-        return None
-    owner = np.repeat(np.arange(len(sets)), list(map(len, sets)))
-    return _words_of_elements(values, owner, len(sets))
+        return Family(int(head.group(1)), words)
+    except ValueError:
+        return None  # a bad ground size or an element above it: reported below
 
 
 def family_from_json(text: str) -> Family:
+    family = _layout_json(text)
+    if family is not None:
+        return family
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -208,12 +285,6 @@ def family_from_json(text: str) -> Family:
     sets_raw = payload["sets"]
     if not isinstance(sets_raw, list):
         raise ValueError('"sets" must be a list of lists')
-    words = _bulk_sets(sets_raw)
-    if words is not None:
-        try:
-            return Family(n, words)
-        except ValueError:
-            pass  # a bad ground size or an element above it: reported below
     sets = []
     for entry in sets_raw:
         if not isinstance(entry, list) or not all(

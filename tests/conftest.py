@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import re
 
 import hypothesis.strategies as st
@@ -79,18 +80,28 @@ def naive_union_free(members) -> bool:
     return len(images) == len(set(images))
 
 
-def naive_quadruple_collision(members):
-    """First (A, B, C, D): (A, B) the first pair in scan order whose xor
+def _naive_pair_collision(members, combine):
+    """First (A, B, C, D): (A, B) the first pair in scan order whose image
     another pair shares, (C, D) the first such other pair."""
     pairs = list(itertools.combinations(sorted(members), 2))
-    by_xor: dict[int, list] = {}
+    by_image: dict[int, list] = {}
     for a, b in pairs:
-        by_xor.setdefault(a ^ b, []).append((a, b))
+        by_image.setdefault(combine(a, b), []).append((a, b))
     for a, b in pairs:
-        same = by_xor[a ^ b]
+        same = by_image[combine(a, b)]
         if len(same) > 1:
             return (a, b) + same[1]
     return None
+
+
+def naive_quadruple_collision(members):
+    """First pair collision under xor (see _naive_pair_collision)."""
+    return _naive_pair_collision(members, operator.xor)
+
+
+def naive_union_collision(members):
+    """First pair collision under union (see _naive_pair_collision)."""
+    return _naive_pair_collision(members, operator.or_)
 
 
 def naive_canonical_form(family: df.Family) -> df.Family:

@@ -23,6 +23,7 @@ from conftest import (
     naive_delta_violation,
     naive_quadruple_collision,
     naive_quadruple_free,
+    naive_union_collision,
     naive_union_free,
 )
 
@@ -424,6 +425,18 @@ class TestQuadrupleFree:
             assert _scan_is_cheaper(f, 32) == (m == cutoff)
             assert df.find_quadruple_collision(f) == _first_pair_collision(f, operator.xor)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_witness_matches_naive_oracle_free_and_not(self, seed):
+        # at most 32 members: the pair-scan witness
+        words = _greedy_pair_free_words(random.Random(seed), 20, 30, operator.xor)
+        free = df.Family(20, words)
+        spoiled = df.Family(20, words + [words[0] ^ words[1] ^ words[2]])
+        assert df.find_quadruple_collision(free) is None
+        assert naive_quadruple_collision(free.members) is None
+        witness = df.find_quadruple_collision(spoiled)
+        assert witness is not None
+        assert witness == naive_quadruple_collision(spoiled.members)
+
     @pytest.mark.parametrize("size", [6, 7])
     def test_pigeonhole_boundary_matches_naive_oracle(self, size):
         # 15 nonzero differences at n = 4: 6 members give 15 pairs (a scan),
@@ -449,12 +462,41 @@ class TestUnionFree:
         assert df.is_union_free(f) == expected
         assert (df.find_union_collision(f) is None) == expected
 
+    @given(family_strategy(max_n=6))
+    def test_witness_matches_naive_oracle(self, f):
+        assert df.find_union_collision(f) == naive_union_collision(f.members)
+
+    @pytest.mark.parametrize("m", [20, 60])
+    def test_witness_matches_naive_oracle_free_and_not(self, m):
+        words = _greedy_pair_free_words(random.Random(m), 24, m, operator.or_)
+        free = df.Family(24, words)
+        spoiled = df.Family(24, words + [words[-1] | words[-2]])
+        assert df.find_union_collision(free) is None
+        assert naive_union_collision(free.members) is None
+        witness = df.find_union_collision(spoiled)
+        assert witness is not None
+        assert witness == naive_union_collision(spoiled.members)
+
     @pytest.mark.parametrize("size", [6, 7])
     def test_pigeonhole_boundary_matches_naive_oracle(self, size):
         # 15 nonzero unions at n = 4: 7 members give 21 pairs (an early exit)
         for words in itertools.combinations(range(16), size):
             f = df.Family(4, words)
             assert df.is_union_free(f) == naive_union_free(words)
+
+
+def _greedy_pair_free_words(rng: random.Random, n: int, m: int, combine) -> list[int]:
+    """m random weight-5 words over {1..n} whose distinct pairs all have
+    distinct images under ``combine``, drawn greedily."""
+    words: list[int] = []
+    images: set[int] = set()
+    while len(words) < m:
+        w = sum(1 << b for b in rng.sample(range(n), 5))
+        new = [combine(w, x) for x in words]
+        if w not in words and len(set(new)) == len(new) and images.isdisjoint(new):
+            words.append(w)
+            images.update(new)
+    return words
 
 
 def _gf2k_mul(a: int, b: int, k: int = 11, poly: int = 0b100000000101) -> int:

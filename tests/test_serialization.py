@@ -1,18 +1,23 @@
-"""Round-trips and rejection behavior for the lines and json formats, and
-the table writers and bulk readers against the per-set oracles."""
+"""Round-trips and rejection behavior for the lines and json formats, the
+table writers and block readers against the per-set oracles, and the block
+readers on files of many blocks."""
 
 from __future__ import annotations
 
 import json
 import random
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import deltafree as df
+from deltafree import serialization
 from conftest import (
     fam,
+    family_strategy,
     oracle_from_json,
     oracle_from_lines,
     oracle_to_json,
@@ -20,6 +25,54 @@ from conftest import (
     outcome,
     wide_family_strategy,
 )
+
+
+def writer_document(n, sets):
+    """The writer's json layout for any ``n`` and list of sets."""
+    return json.dumps({"format": df.FORMAT_TAG, "n": n, "sets": sets}, indent=2) + "\n"
+
+
+@st.composite
+def edited_document(draw):
+    """The writer's json document for a family at n <= 12, with one edit:
+    a byte inserted, deleted or replaced, two sets swapped, a set repeated,
+    two elements of a set swapped, one line re-indented, the final newline
+    dropped, or another "n"."""
+    f = draw(family_strategy(max_n=12, max_size=12))
+    text = df.family_to_json(f)
+    sets = [list(df.elements_of(w)) for w in f.members]
+    edits = ["insert", "delete", "replace", "swap sets", "repeat set", "swap elements"]
+    edit = draw(st.sampled_from(edits + ["indent", "final newline", "n"]))
+    # one edit in three lands in the last eight bytes, around the tail
+    anywhere = st.integers(min_value=0, max_value=len(text) - 1)
+    at = draw(st.one_of(anywhere, anywhere, st.integers(len(text) - 8, len(text) - 1)))
+    byte = draw(st.sampled_from('0123456789 \n,[]-"{}:xn'))
+    pick = st.integers(min_value=0, max_value=max(len(sets) - 1, 0))
+    i, j = draw(pick), draw(pick)
+    if edit == "insert":
+        return text[:at] + byte + text[at:]
+    if edit == "delete":
+        return text[:at] + text[at + 1 :]
+    if edit == "replace":
+        return text[:at] + byte + text[at + 1 :]
+    if edit == "final newline":
+        return text[:-1]
+    if edit == "indent":
+        lines = text.split("\n")
+        k = at % len(lines)
+        lines[k] = " " * draw(st.integers(min_value=0, max_value=8)) + lines[k].lstrip(" ")
+        return "\n".join(lines)
+    if edit == "n":
+        other = ["0", "05", "-1", "3.0", "true", '"4"', "25", "24", "1", "13"]
+        return text.replace(f'"n": {f.n},', f'"n": {draw(st.sampled_from(other))},', 1)
+    if sets and edit == "swap sets":
+        sets[i], sets[j] = sets[j], sets[i]
+    elif sets and edit == "repeat set":
+        sets.insert(j, sets[i])
+    elif sets and len(sets[i]) > 1 and edit == "swap elements":
+        e = draw(st.integers(min_value=1, max_value=len(sets[i]) - 1))
+        sets[i][e - 1], sets[i][e] = sets[i][e], sets[i][e - 1]
+    return writer_document(f.n, sets)
 
 
 def every_family(n):
@@ -159,6 +212,7 @@ class TestAgainstOracles:
             raise AssertionError("set-by-set parse reached")
 
         monkeypatch.setattr("deltafree.serialization._family_of_sets", refuse)
+        monkeypatch.setattr("deltafree.serialization.json.loads", refuse)
         assert df.family_from_lines(lines) == f
         assert df.family_from_lines(lines.rstrip("\n"), n) == f
         assert df.family_from_json(doc) == f
@@ -183,6 +237,29 @@ class TestAgainstOracles:
     )
     def test_json_reader_matches_oracle_on_any_document(self, n, sets):
         text = json.dumps({"n": n, "sets": sets})
+        assert outcome(df.family_from_json, text) == outcome(oracle_from_json, text)
+
+    @given(edited_document())
+    def test_json_reader_matches_oracle_on_edited_writer_output(self, text):
+        assert outcome(df.family_from_json, text) == outcome(oracle_from_json, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            writer_document(24, [[24, 24]]),  # repeated elements summing past 2^23
+            writer_document(24, [[1], [23, 23, 24]]),
+            writer_document(3, [[1], [2]]).replace('"n": 3', '"n": 03'),
+            writer_document(3, [[1], [2]])[:-1] + "x",
+            writer_document(3, [[1], [2]]) + "]",
+            writer_document(3, [[1], [1]]),
+            writer_document(3, [[], []]),
+            writer_document(3, [[]]),
+            writer_document(3, []),
+            writer_document(2, [[3]]),
+            writer_document(25, [[1]]),
+        ],
+    )
+    def test_json_layout_fallback_table(self, text):
         assert outcome(df.family_from_json, text) == outcome(oracle_from_json, text)
 
     @pytest.mark.parametrize(
@@ -237,6 +314,62 @@ class TestAgainstOracles:
     def test_json_fallback_table(self, sets, n):
         text = json.dumps({"n": n, "sets": sets})
         assert outcome(df.family_from_json, text) == outcome(oracle_from_json, text)
+
+
+@pytest.fixture(scope="module")
+def family_n18():
+    return df.generate_family(df.Generator(18, 0b10_0110_0000_0001_0011))
+
+
+class TestBlocks:
+    """Files of many blocks: the n = 18 maximum family is 2.9 MB as lines
+    and 12.8 MB as json."""
+
+    def test_bad_line_in_last_block_reports_global_line_number(self, family_n18):
+        lines = df.family_to_lines(family_n18).splitlines()
+        lines[-1] = " ".join(reversed(lines[-1].split()))
+        text = "\n".join(lines) + "\n"
+        expected = f"line {len(lines)}: elements must be strictly increasing"
+        with pytest.raises(ValueError, match=expected):
+            df.family_from_lines(text)
+
+    def test_bad_set_in_last_block_reports_the_set(self, family_n18):
+        sets = [list(df.elements_of(w)) for w in family_n18.members]
+        sets[-1].reverse()
+        text = writer_document(18, sets)
+        expected = f"set {sets[-1]} is not strictly increasing"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            df.family_from_json(text)
+
+    def test_set_repeated_across_blocks_is_deduplicated(self, family_n18, monkeypatch):
+        lines = df.family_to_lines(family_n18)
+        assert len(lines) > 4 * serialization._BLOCK_CHARS
+        lines += lines[: lines.index("\n") + 1]
+        sets = [list(df.elements_of(w)) for w in family_n18.members]
+        sets.append(sets[0])
+        doc = writer_document(18, sets)
+
+        def refuse(*args):
+            raise AssertionError("set-by-set parse reached")
+
+        monkeypatch.setattr("deltafree.serialization._family_of_sets", refuse)
+        monkeypatch.setattr("deltafree.serialization.json.loads", refuse)
+        assert df.family_from_lines(lines) == family_n18
+        assert df.family_from_json(doc) == family_n18
+
+    @pytest.mark.parametrize(
+        "write, read",
+        [(df.family_to_lines, df.family_from_lines), (df.family_to_json, df.family_from_json)],
+    )
+    def test_reader_memory_is_bounded(self, family_n18, write, read):
+        text = write(family_n18)
+        tracemalloc.start()
+        try:
+            assert read(text) == family_n18
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
 
 class TestElementSetSpecs:
