@@ -14,6 +14,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -184,7 +185,10 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``deltafree`` parser, built once per process: parsing leaves it
+    unchanged, so in-process callers of ``main`` share it."""
     parser = argparse.ArgumentParser(
         prog="deltafree",
         description="Construct, check, classify, enumerate, partition, and "

@@ -20,7 +20,9 @@ true result modulo 2^64, and the true result 2^n * counts[w] <= 2^n * |F|
 witness is the lexicographically first violating tuple.  The pairwise and
 closure checks are their witness finders (``is_*`` is ``find_* is None``):
 a pair scan while ``_scan_is_cheaper(F)`` holds, past it one pair-count
-vector that gives the witness's first member and then its partner.  The
+vector that gives the witness's first member and then its partner.  Each
+first settles the empty set: a member, for pairwise, gives (0, 0), and an
+absent one, for closure, gives (m0, m0) with m0 the least member.  The
 quadruple witness keeps its pair scan while ``_scan_is_cheaper(F, 32)``
 holds and past it reads the first repeated difference off the pair counts;
 the union witness is a pair scan, which stops early only on a free family.
@@ -319,6 +321,9 @@ def is_delta_free(family: Family) -> bool:
 
 def find_closure_violation(family: Family) -> tuple[int, int] | None:
     """The lexicographically first member pair whose difference is absent."""
+    m = family._arr
+    if m.size and m[0] != 0:  # the empty set, A xor A, is absent
+        return (int(m[0]), int(m[0]))
     return _first_member_pair(family, False)
 
 

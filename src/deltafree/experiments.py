@@ -19,12 +19,24 @@ bijection), so this gives exactly the counts of sampling and checking the
 family at every grid point, and the curve is exactly monotone.  The sweep
 builds no ``Family`` and calls no predicate; ``random_family`` and the
 predicates are the route tests compare it against.
+
+Trials run in blocks, so numpy's fixed cost per call is paid once per block
+rather than once per trial.  A block is one 2-D array of draws, one row per
+trial, of about ``_BLOCK_WORDS`` words; the in-place finalizer
+``_mix_array`` computes every trial state and every draw of the block, and
+one ``argsort`` along the rows orders it.  From n = 16 on a block holds one
+trial, and sorting all 2^n draws would cost most of a trial that dies
+within a few hundred words.  The first k words in draw order are exactly
+the words drawn below a cutoff, so such a trial sorts only the head of
+about ``_HEAD_WORDS`` words below one, and sorts every draw only if it
+outlives that head.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -32,9 +44,13 @@ import numpy as np
 from .core import Family, is_delta_free, is_quadruple_delta_free, is_union_free, validate_ground
 
 _MASK64 = (1 << 64) - 1
+# Draws per block of trials: below n = 16 a block holds 2^16 / 2^n trials.
+_BLOCK_WORDS = 1 << 16
 # Words converted to Python ints at a time: a trial usually dies within the
 # first few hundred draws, so at large n most of the order stays in numpy.
 _ORDER_CHUNK = 256
+# Words in the sorted head of a one-trial block, on average.
+_HEAD_WORDS = 4096
 
 # No "closed": the coupled sweep needs properties every subfamily keeps; closedness is not one.
 DEFINITIONS: dict[str, Callable[[Family], bool]] = {
@@ -133,18 +149,49 @@ class SurvivalCurve:
         }
 
 
-def _draws(n: int, seed: int, trial_index: int) -> np.ndarray:
-    """Every word's 64-bit draw, ``_mix(state ^ w)`` for w in 0..2^n - 1, in
-    wrapping ``uint64`` arithmetic (the finalizer's multiplies are taken
-    modulo 2^64 in both forms, so the two agree bit for bit)."""
-    x = np.arange(1 << n, dtype=np.uint64)
-    x ^= np.uint64(_trial_state(seed, trial_index))
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
+def _mix_array(x: np.ndarray) -> np.ndarray:
+    """``_mix`` in place on a contiguous ``uint64`` array; returns ``x``.
+
+    The finalizer's multiplies wrap modulo 2^64 in both forms, so the two
+    agree bit for bit.  It runs over slices of ``_BLOCK_WORDS`` words, which
+    keeps its shift temporaries small at large n.
+    """
+    flat = x.reshape(-1)
+    for start in range(0, flat.size, _BLOCK_WORDS):
+        part = flat[start : start + _BLOCK_WORDS]
+        part ^= part >> np.uint64(30)
+        part *= np.uint64(0xBF58476D1CE4E5B9)
+        part ^= part >> np.uint64(27)
+        part *= np.uint64(0x94D049BB133111EB)
+        part ^= part >> np.uint64(31)
     return x
+
+
+def _trial_states(seed: int, start: int, count: int) -> np.ndarray:
+    """``_trial_state(seed, t)`` for the ``count`` trials from ``start`` on."""
+    trials = np.arange(count, dtype=np.uint64)
+    trials += np.uint64(start & _MASK64)  # wraps as _trial_state's mask does
+    trials ^= np.uint64(_mix(seed))
+    return _mix_array(trials)
+
+
+def _block_draws(n: int, states: np.ndarray) -> np.ndarray:
+    """One row per trial state: word w's draw ``_mix(state ^ w)`` in column w.
+
+    The block starts as one ``arange`` over all its cells; cell r * 2^n + w
+    holds (r << n) ^ w, since w < 2^n, so xoring row r with
+    state ^ (r << n) leaves state ^ w without a second array of 2^n words.
+    """
+    rows = states.size
+    block = np.arange(rows << n, dtype=np.uint64).reshape(rows, 1 << n)
+    block ^= (states ^ (np.arange(rows, dtype=np.uint64) << np.uint64(n)))[:, None]
+    return _mix_array(block)
+
+
+def _draws(n: int, seed: int, trial_index: int) -> np.ndarray:
+    """Every word's 64-bit draw, ``_mix(_trial_state(seed, trial_index) ^ w)``
+    for w in 0..2^n - 1."""
+    return _block_draws(n, _trial_states(seed, trial_index, 1))[0]
 
 
 def random_family(n: int, p: float, seed: int, trial_index: int) -> Family:
@@ -216,10 +263,48 @@ _FIRST_BREAK: dict[str, Callable[[Iterable[int]], int | None]] = {
 }
 
 
-def _in_draw_order(draws: np.ndarray) -> Iterator[int]:
-    order = np.argsort(draws)
+def _chunks(order: np.ndarray) -> Iterator[int]:
     for start in range(0, order.size, _ORDER_CHUNK):
         yield from order[start : start + _ORDER_CHUNK].tolist()
+
+
+def _in_draw_order(draws: np.ndarray) -> Iterator[int]:
+    """One trial's words in increasing draw order.
+
+    The words drawn below a cutoff are exactly the first ones in that order.
+    The cutoff lets about ``_HEAD_WORDS`` words through, and only they are
+    sorted first; all the draws are sorted only for a scan that outlives them.
+    """
+    head = np.empty(0, dtype=np.intp)
+    if draws.size > _HEAD_WORDS:
+        cutoff = np.uint64((_HEAD_WORDS << 64) // draws.size)
+        head = np.flatnonzero(draws < cutoff)
+        head = head[np.argsort(draws[head])]
+        yield from head.tolist()
+    yield from _chunks(np.argsort(draws)[head.size :])
+
+
+def _death(draws: np.ndarray, x: int | None) -> int:
+    return 1 << 64 if x is None else int(draws[x])
+
+
+def _trial_death(first_break: Callable[[Iterable[int]], int | None], draws: np.ndarray) -> int:
+    """The death draw of the trial whose draws row is ``draws``."""
+    return _death(draws, first_break(_in_draw_order(draws)))
+
+
+def _block_deaths(first_break: Callable[[Iterable[int]], int | None], block: np.ndarray) -> list[int]:
+    """The death draws of a block of trials, one per row of draws."""
+    if len(block) == 1:
+        return [_trial_death(first_break, block[0])]
+    order = np.argsort(block, axis=1)
+    heads = order[:, :_ORDER_CHUNK].tolist()
+    if order.shape[1] <= _ORDER_CHUNK:  # plain lists scan a quarter faster than a chain
+        return [_death(draws, first_break(head)) for draws, head in zip(block, heads)]
+    return [
+        _death(draws, first_break(chain(head, _chunks(rest))))
+        for draws, head, rest in zip(block, heads, order[:, _ORDER_CHUNK:])
+    ]
 
 
 def _half_crossing(points: list[SurvivalPoint]) -> float | None:
@@ -243,11 +328,11 @@ def estimate_survival(cfg: ExperimentConfig) -> SurvivalCurve:
     so it is free iff ``_threshold(p) <= death``.
     """
     first_break = _FIRST_BREAK[cfg.definition]
+    per_block = max(1, _BLOCK_WORDS >> cfg.n)
     deaths = []
-    for trial in range(cfg.trials):
-        draws = _draws(cfg.n, cfg.seed, trial)
-        x = first_break(_in_draw_order(draws))
-        deaths.append(1 << 64 if x is None else int(draws[x]))
+    for start in range(0, cfg.trials, per_block):
+        states = _trial_states(cfg.seed, start, min(per_block, cfg.trials - start))
+        deaths += _block_deaths(first_break, _block_draws(cfg.n, states))
     deaths.sort()
     points = []
     for p in cfg.p_grid:

@@ -9,7 +9,8 @@ ground size exactly.  Sets are always emitted in canonical family order
 (ascending word value).
 
 Writers render each word from two precomputed tables, one for its low 12
-bits (elements 1..12) and one for bits 12..23 (elements 13..24).  Readers
+bits (elements 1..12) and one for bits 12..23 (elements 13..24), and build
+the text by one join, so it is copied once.  Readers
 work in blocks: they cut the text at set boundaries into blocks of about
 2^18 characters, tokenize each with numpy and join the words into one
 family, so their memory beyond the text and the words is one block's
@@ -89,14 +90,20 @@ def render_sets(words: Iterable[int], style: tuple[str, str, str, str]) -> list[
 def family_to_lines(family: Family) -> str:
     """Lines format; empty family serializes to the empty string."""
     out = render_sets(family._arr.tolist(), LINES_STYLE)
-    return "\n".join(out) + ("\n" if out else "")
+    out.append("")  # the final newline, without a second copy of the text
+    return "\n".join(out)
 
 
 def family_to_json(family: Family) -> str:
     """The json document, laid out as ``json.dumps(..., indent=2)`` does."""
+    head = f"{_HEAD_TO_N}{family.n}{_HEAD_AFTER_N}"
     sets = render_sets(family._arr.tolist(), _JSON_SET_STYLE)
-    body = _SETS_OPEN + _JSON_SEP.join(sets) + _SETS_CLOSE if sets else ""
-    return f"{_HEAD_TO_N}{family.n}{_HEAD_AFTER_N}{body}{_JSON_TAIL}"
+    if not sets:
+        return head + _JSON_TAIL
+    # head and tail go into the end sets, so the document is built by one join
+    sets[0] = head + _SETS_OPEN + sets[0]
+    sets[-1] += _SETS_CLOSE + _JSON_TAIL
+    return _JSON_SEP.join(sets)
 
 
 # Readers cut files into blocks of whole sets of about this many characters,

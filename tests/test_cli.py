@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import deltafree as df
-from deltafree.cli import main
+from deltafree.cli import build_parser, main
 from conftest import oracle_cli_json, oracle_set_lists
 
 
@@ -133,8 +133,10 @@ class TestCheck:
         code, _, _ = run_cli(capsys, "check", "--file", str(path), "--definition", definition)
         assert code == (0 if definition == "pairwise" and not spoil else 1)
         assert len(calls) <= 1
-        if definition in ("pairwise", "closed"):
+        if definition == "pairwise":
             assert len(calls) == 1
+        if definition == "closed":  # no empty set: (m0, m0) needs no pair counts
+            assert not calls
 
     def test_malformed_file_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "f.txt"
@@ -363,6 +365,23 @@ class TestTopLevel:
 
     def test_removed_threshold_option_is_usage_error(self, capsys):
         assert run_cli(capsys, "threshold", "--n", "3", "--steps", "1", "--independent")[0] == 2
+
+    def test_shared_parser_matches_a_fresh_one(self, capsys):
+        # a usage error, then a valid call, then another subcommand, all on
+        # the one parser of this process, against a freshly built parser each
+        calls = [
+            ("threshold", "--n", "3", "--steps", "1", "--independent"),
+            ("threshold", "--n", "3", "--steps", "3", "--trials", "5"),
+            ("generate", "--n", "4", "--sc", "3,4"),
+        ]
+        shared = [run_cli(capsys, *argv) for argv in calls]
+        assert build_parser() is build_parser()
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [2, 0, 0]
 
     def test_console_script_smoke(self):
         pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()

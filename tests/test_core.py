@@ -274,6 +274,31 @@ class TestDeltaClosed:
         assert df.is_delta_closed(df.Family(8, evens))
         assert not df.is_delta_closed(df.Family(8, evens[1:]))
 
+    def test_witness_matches_naive_oracle_on_every_size(self):
+        # sizes up to 2^n at n <= 7, so past the scan cutoff (49 members) too;
+        # without the empty set the first pair (m0, m0) already fails
+        rng = random.Random(12)
+        for _ in range(3000):
+            n = rng.randint(1, 7)
+            f = df.Family(n, rng.sample(range(1 << n), rng.randint(0, 1 << n)))
+            want = naive_closure_violation(f.members)
+            assert df.find_closure_violation(f) == want
+            if f.members and f.members[0] != 0:
+                assert want == (f.members[0], f.members[0])
+
+    def test_no_pair_counts_without_the_empty_set(self, monkeypatch):
+        f = df.generate_family(df.Generator(18, 0b101))
+
+        def refuse(family):
+            raise AssertionError("xor_pair_counts called")
+
+        monkeypatch.setattr(df.core, "xor_pair_counts", refuse)
+        low = int(f._arr[0])
+        assert df.find_closure_violation(f) == (low, low)
+        assert not df.is_delta_closed(f)
+        with pytest.raises(AssertionError, match="xor_pair_counts"):
+            df.find_closure_violation(df.Family(18, np.append(f._arr, 0)))
+
 
 def _past_scan_cutoff_families() -> list[df.Family]:
     """Seeded families of 49..200 words at n = 8..14, all decided by the pair

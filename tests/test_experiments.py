@@ -1,6 +1,7 @@
 """Random subfamily sampling and the survival sweep: endpoint contracts,
-determinism, coupling monotonicity, the vector mixer against the scalar
-one, the death-draw sweep against the per-point loop, the closed-form
+determinism, coupling monotonicity, the vector mixer and trial blocks
+against the scalar mixer, the death-draw sweep against the per-point loop,
+the sorted head and its fallback against the full sort, the closed-form
 sanity bound, and the exact survival curve at n <= 3."""
 
 from __future__ import annotations
@@ -11,9 +12,21 @@ import pytest
 from conftest import naive_survival
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import numpy as np
 
 import deltafree as df
-from deltafree.experiments import _draws, _mix, _trial_state
+from deltafree.experiments import (
+    _BLOCK_WORDS,
+    _FIRST_BREAK,
+    _HEAD_WORDS,
+    _block_deaths,
+    _block_draws,
+    _draws,
+    _mix,
+    _trial_death,
+    _trial_state,
+    _trial_states,
+)
 
 GRID21 = tuple(i / 20 for i in range(21))
 
@@ -59,16 +72,30 @@ class TestRandomFamily:
             df.random_family(3, 1.5, 0, 0)
 
 
+SEEDS_AND_TRIALS = [
+    (0, 0), (1, 1), (7, 3), (2024, 1999), (2**32 + 5, 17), (2**63, 0),
+    (2**64 - 1, 2**40), (12345, 2**64), (2**63 + 99, 2**64 + 7),
+]
+
+
 class TestDraws:
-    @pytest.mark.parametrize(
-        "seed, trial",
-        [(0, 0), (1, 1), (7, 3), (2024, 1999), (2**32 + 5, 17), (2**63, 0),
-         (2**64 - 1, 2**40), (12345, 2**64), (2**63 + 99, 2**64 + 7)],
-    )
+    @pytest.mark.parametrize("seed, trial", SEEDS_AND_TRIALS)
     def test_vector_mixer_matches_scalar_mix(self, seed, trial):
         state = _trial_state(seed, trial)
         expected = [_mix(state ^ w) for w in range(1 << 10)]
         assert _draws(10, seed, trial).tolist() == expected
+
+    @pytest.mark.parametrize("seed, trial", SEEDS_AND_TRIALS + [(5, 2**64 - 2)])
+    def test_vector_trial_states_match_scalar(self, seed, trial):
+        # the last case wraps past 2^64 - 1 as the scalar form's mask does
+        expected = [_trial_state(seed, trial + i) for i in range(5)]
+        assert _trial_states(seed, trial, 5).tolist() == expected
+
+    def test_block_rows_match_scalar_mix(self):
+        states = _trial_states(2**63 + 99, 2**64 - 3, 6)
+        block = _block_draws(5, states)
+        expected = [[_mix(state ^ w) for w in range(32)] for state in states.tolist()]
+        assert block.tolist() == expected
 
 
 class TestConfigValidation:
@@ -128,6 +155,21 @@ class TestEstimateSurvival:
                     assert curve.as_csv() == expected.as_csv(), (n, definition, seed)
                     assert curve.crossing == expected.crossing, (n, definition, seed)
 
+    @pytest.mark.parametrize("n, trials", [(12, 37), (13, 19), (14, 10)])
+    def test_blocks_of_trials_match_per_point_oracle(self, n, trials):
+        # several blocks of trials, the last one partial
+        per_block = _BLOCK_WORDS >> n
+        assert trials > 2 * per_block and trials % per_block
+        grid = tuple(i / 2000 for i in range(25))
+        for definition in ("pairwise", "quadruple", "union"):
+            cfg = df.ExperimentConfig(
+                n=n, p_grid=grid, trials=trials, seed=2**63 + 99, definition=definition
+            )
+            curve = df.estimate_survival(cfg)
+            assert curve.as_csv() == naive_survival(cfg).as_csv(), definition
+            # the deaths spread over the grid
+            assert len({pt.estimate for pt in curve.points}) > 2, definition
+
     def test_crossing_interpolates_between_grid_points(self):
         cfg = df.ExperimentConfig(n=4, p_grid=GRID21, trials=400, seed=17)
         curve = df.estimate_survival(cfg)
@@ -170,6 +212,68 @@ class TestEstimateSurvival:
         cfg = df.ExperimentConfig(n=3, p_grid=(0.0, 0.5, 1.0), trials=50, seed=7)
         curve = df.estimate_survival(cfg)
         assert [pt.estimate for pt in curve.points] == PINNED_ESTIMATES
+
+
+def _full_sort_death(definition: str, draws: np.ndarray) -> int:
+    x = _FIRST_BREAK[definition](np.argsort(draws).tolist())
+    return 1 << 64 if x is None else int(draws[x])
+
+
+def _planted_draws(n: int, first: np.ndarray, cutoff: int, seed: int) -> np.ndarray:
+    """Distinct draws with the words of ``first`` drawn below ``cutoff``, in
+    that order, and every other word above it, in a seeded random order."""
+    size = 1 << n
+    rest = np.random.default_rng(seed).permutation(np.setdiff1d(np.arange(size), first))
+    draws = np.empty(size, dtype=np.uint64)
+    draws[first] = np.arange(first.size, dtype=np.uint64) << np.uint64(40)
+    draws[rest] = np.uint64(cutoff) + (np.arange(rest.size, dtype=np.uint64) << np.uint64(45))
+    return draws
+
+
+def _odd_words(n: int, count: int, seed: int) -> np.ndarray:
+    """``count`` distinct odd words: a pairwise free family."""
+    return np.random.default_rng(seed).choice(np.arange(1, 1 << n, 2), count, replace=False)
+
+
+class TestSortedHead:
+    """A one-trial block sorts only the words drawn below a cutoff, and every
+    draw only when the scan outlives them; a block of several trials hands
+    each scan its first ``_ORDER_CHUNK`` words and the rest on demand.  Each
+    death must be the full sort's."""
+
+    @pytest.mark.parametrize("definition", ["pairwise", "quadruple", "union"])
+    @pytest.mark.parametrize("n", [13, 16, 17])
+    def test_head_matches_full_sort(self, n, definition):
+        for trial in range(3):
+            draws = _draws(n, 41, trial)
+            assert _trial_death(_FIRST_BREAK[definition], draws) == _full_sort_death(
+                definition, draws
+            )
+
+    def test_fallback_past_a_free_head(self):
+        # only 64 odd words are drawn below the cutoff 2^64 * _HEAD_WORDS / 2^n,
+        # so the scan outlives that head and must go on into the full sort
+        n = 14
+        cutoff = (_HEAD_WORDS << 64) >> n
+        head = _odd_words(n, 64, 5)
+        draws = _planted_draws(n, head, cutoff, 5)
+        assert np.flatnonzero(draws < np.uint64(cutoff)).tolist() == sorted(head.tolist())
+        death = _trial_death(_FIRST_BREAK["pairwise"], draws)
+        assert death == _full_sort_death("pairwise", draws)
+        assert cutoff < death < 1 << 64
+
+    def test_block_scan_past_the_first_chunk(self):
+        # row 0 first draws 255 words of {1..9} that hold element 1 (a
+        # pairwise free family), then {1, 13}, then the first word xor {1, 13},
+        # which breaks freeness as the 257th word, just past the first
+        # _ORDER_CHUNK words of the block's order; row 1 is an ordinary trial
+        n, cutoff = 13, 1 << 62
+        low = np.random.default_rng(6).permutation(np.arange(1, 512, 2))[:255]
+        first = np.append(low, [1 | 1 << 12, low[0] ^ (1 | 1 << 12)])
+        block = np.stack([_planted_draws(n, first, cutoff, 6), _draws(n, 6, 1)])
+        deaths = _block_deaths(_FIRST_BREAK["pairwise"], block)
+        assert deaths == [_full_sort_death("pairwise", row) for row in block]
+        assert deaths[0] == int(block[0, first[-1]])
 
 
 # Filled by running the configuration above once and freezing the result;
