@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
-"""Exhaustively enumerate the maximum delta-free families for n = 2..5.
+"""Exhaustively enumerate the maximum delta-free families for n = 2..6.
 
-The search knows nothing about defining sets: it is a pruned DFS over
-candidate subsets.  Comparing its output against the construction is the
-completeness check, and canonical forms under relabeling give the
-isomorphism census (2^n - 1 families falling into n classes, one per
-defining-set size).
+The search knows nothing about defining sets: it is a DFS over candidate
+subsets, pruned by a count bound and a covering bound.  Comparing its
+output against the construction is the completeness check, and canonical
+forms under relabeling give the isomorphism census (2^n - 1 families
+falling into n classes, one per defining-set size).
 """
 
 import deltafree as df
 
-for n in (2, 3, 4, 5):
+for n in (2, 3, 4, 5, 6):
     report = df.enumerate_maximum_families(n)
     constructed = {
         df.generate_family(df.Generator(n, sc)) for sc in range((1 << n) - 1)
@@ -21,6 +21,7 @@ for n in (2, 3, 4, 5):
     print(f"  search equals construction: {set(report.families) == constructed}")
     print(f"  completeness verified     : {df.verify_completeness(report)}")
     print(f"  isomorphism class sizes   : {list(report.class_sizes)}")
+    print(f"  search nodes visited      : {report.nodes}")
     print(f"  elapsed                   : {report.elapsed:.3f}s")
     if n == 3:
         print("  the n=3 catalog:")
@@ -33,7 +34,7 @@ for n in (2, 3, 4, 5):
     print()
 
 print("class sizes match the binomial counts C(n, |sc|):")
-for n in (3, 4, 5):
+for n in (3, 4, 5, 6):
     report = df.enumerate_maximum_families(n)
     by_sc_size: dict[int, int] = {}
     for fam in report.families:

@@ -130,7 +130,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         payload["class_sizes"] = list(report.class_sizes)
     payload["families"] = list(report.families)
     print(_json_text(payload))
-    print(f"enumerated n={report.n} in {report.elapsed:.3f}s", file=sys.stderr)
+    print(f"enumerated n={report.n} in {report.elapsed:.3f}s, {report.nodes} nodes", file=sys.stderr)
     return 0 if report.all_generated else 1
 
 

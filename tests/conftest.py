@@ -121,6 +121,33 @@ def naive_canonical_form(family: df.Family) -> df.Family:
     return df.Family(n, best)
 
 
+def naive_maximum_families(n: int) -> list[tuple[int, ...]]:
+    """Every delta-free family of 2^(n-1) nonempty words, sorted, by
+    depth-first search with only the count bound: a branch is abandoned
+    when fewer candidates remain than members are missing."""
+    out: list[tuple[int, ...]] = []
+
+    def dfs(prefix: list[int], cand: int, need: int) -> None:
+        if need == 0:
+            out.append(tuple(prefix))
+            return
+        while cand:
+            if cand.bit_count() < need:
+                return
+            low = cand & -cand
+            cand ^= low
+            x = low.bit_length() - 1
+            newly = 0
+            for y in prefix:
+                newly |= 1 << (x ^ y)
+            prefix.append(x)
+            dfs(prefix, cand & ~newly, need - 1)
+            prefix.pop()
+
+    dfs([], (1 << (1 << n)) - 2, 1 << (n - 1))
+    return sorted(out)
+
+
 def naive_survival(cfg: df.ExperimentConfig) -> df.SurvivalCurve:
     """The sweep point by point: every (trial, p) family sampled afresh with
     random_family and judged by the definition's predicate."""

@@ -7,6 +7,7 @@ lines; plain ``pytest`` reports the same tests pass/fail by name.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 
@@ -66,10 +67,20 @@ def test_criterion_2_completeness_at_desk_scale():
     assert df.verify_completeness(report5)
     assert set(report5.families) == {df.generate_family(g) for g in all_generators(5)}
     assert elapsed5 < 600.0
+
+    start_large = time.monotonic()
+    for n, total in {6: 63, 7: 127}.items():
+        report = df.enumerate_maximum_families(n)
+        assert report.total == total
+        assert report.all_generated
+        assert df.verify_completeness(report)
+        assert set(report.families) == {df.generate_family(g) for g in all_generators(n)}
+        assert report.class_sizes == tuple(sorted(math.comb(n, k) for k in range(n)))
+    elapsed_large = time.monotonic() - start_large
     _announce(
         2,
-        f"totals 3/7/15/31, oracle equals construction "
-        f"(n<=4 {small_elapsed:.1f}s, n=5 {elapsed5:.1f}s)",
+        f"totals 3/7/15/31/63/127, oracle equals construction "
+        f"(n<=4 {small_elapsed:.1f}s, n=5 {elapsed5:.1f}s, n=6,7 {elapsed_large:.1f}s)",
     )
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -194,8 +196,23 @@ class TestEnumerate:
         assert len(payload["families"]) == 7
 
     def test_out_of_range_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "enumerate", "--n", "7")
+        code, _, err = run_cli(capsys, "enumerate", "--n", "8")
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize(
+        "classes, sha",
+        [
+            (False, "781a4514b511432e22629e3f1a6b8c3645ef6284600fef3faa3d77dbb6c0d390"),
+            (True, "2adafac51384497eaa5615bfc8c1823ac3dc7701af5c1082c6d7fdb0202fb1fd"),
+        ],
+        ids=["plain", "classes"],
+    )
+    def test_n5_node_count_on_stderr_only(self, capsys, classes, sha):
+        # the digests are of the stdout of the search with the count bound alone
+        code, out, err = run_cli(capsys, "enumerate", "--n", "5", *(["--classes"] if classes else []))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
+        assert re.fullmatch(r"enumerated n=5 in \d+\.\d{3}s, 376 nodes\n", err)
 
 
 class TestPartition:

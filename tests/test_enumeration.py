@@ -4,14 +4,23 @@ forms, isomorphism censuses, and the extension probe."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 
 import deltafree as df
-from conftest import fam, family_strategy, naive_canonical_form, naive_delta_free
+from conftest import (
+    fam,
+    family_strategy,
+    naive_canonical_form,
+    naive_delta_free,
+    naive_maximum_families,
+)
+from deltafree import enumeration
 
 
 def generated_catalog(n):
@@ -36,7 +45,7 @@ class TestEnumerate:
     def test_n4_has_fifteen_families(self):
         assert df.enumerate_maximum_families(4).total == 15
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", range(2, 8))
     def test_oracle_equals_construction(self, n):
         report = df.enumerate_maximum_families(n)
         assert set(report.families) == generated_catalog(n)
@@ -67,7 +76,17 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             df.enumerate_maximum_families(1)
         with pytest.raises(ValueError):
-            df.enumerate_maximum_families(6)
+            df.enumerate_maximum_families(8)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_equals_count_bound_search(self, n):
+        report = df.enumerate_maximum_families(n)
+        assert [f.members for f in report.families] == naive_maximum_families(n)
+
+    def test_node_counts(self):
+        # with the count bound alone, n = 5 visits 24,516 nodes
+        nodes = {n: df.enumerate_maximum_families(n).nodes for n in range(2, 8)}
+        assert nodes == {2: 6, 3: 24, 4: 96, 5: 376, 6: 1464, 7: 5720}
 
     def test_removing_a_family_breaks_completeness(self):
         report = df.enumerate_maximum_families(3)
@@ -149,14 +168,61 @@ class TestCanonicalFormMatchesNaiveScan:
 
     def test_unions_of_cardinality_layers(self):
         # invariant under every relabeling, so every partial map ties
-        for n in range(1, 7):
+        for n in range(1, 8):
             for layers in range(1 << (n + 1)):
                 words = [w for w in range(1 << n) if layers >> w.bit_count() & 1]
                 self.assert_matches(df.Family(n, words))
 
     def test_all_odd_family_n8(self):
-        # the worst case: all 8! partial maps survive to the last level
+        # the worst case: all 8! partial maps tie to the last level
         self.assert_matches(df.all_odd_family(8))
+
+    @given(family_strategy(max_n=6))
+    @example(df.Family(4, [1, 2, 4, 8, 3]))
+    @example(df.Family(5, [1, 2, 12, 17, 31]))
+    def test_merging_before_every_level(self, f):
+        # with no threshold, survivors are merged before every level but
+        # the last, whatever their symmetry
+        saved = enumeration._MERGE_WORK
+        enumeration._MERGE_WORK = 0
+        try:
+            self.assert_matches(f)
+        finally:
+            enumeration._MERGE_WORK = saved
+
+
+class TestCanonicalFormOfSymmetricFamilies:
+    """Families with many tied partial maps, where survivors merge."""
+
+    @staticmethod
+    def relabel(f, perm):
+        return df.Family(f.n, [sum(1 << perm[i] for i in range(f.n) if w >> i & 1) for w in f.members])
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_invariant_under_relabeling(self, n):
+        rng = random.Random(n)
+        # A(s) for each |s| = n - k, the all-odd family among them (k = 0)
+        families = [df.generate_family(df.Generator(n, (1 << k) - 1)) for k in range(n)]
+        assert families[0] == df.all_odd_family(n)
+        for f in families:
+            form = df.canonical_form(f)
+            for _ in range(4):
+                perm = rng.sample(range(n), n)
+                assert df.canonical_form(self.relabel(f, perm)) == form
+        # each A(s) class has one form, and the forms separate the classes
+        assert len({df.canonical_form(f) for f in families}) == n
+
+    def test_all_odd_family_n8_memory(self):
+        # without merging, all 8! tied partial maps reach the last level
+        # and their temporaries peak near 20 MB
+        f = df.all_odd_family(8)
+        tracemalloc.start()
+        try:
+            df.canonical_form(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
 
 class TestIsomorphismClasses:
@@ -169,6 +235,12 @@ class TestIsomorphismClasses:
     def test_n4_sizes(self):
         report = df.enumerate_maximum_families(4)
         assert report.class_sizes == (1, 4, 4, 6)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_sizes_are_binomials(self, n):
+        # one class per defining-set size k, of C(n, k) families
+        report = df.enumerate_maximum_families(n)
+        assert report.class_sizes == tuple(sorted(math.comb(n, k) for k in range(n)))
 
 
 class TestFindExtension:
