@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
 """Partition a maximum family into its four parity classes.
 
-Against any reference set t, each member lands in a class (cardinality
-parity, trace parity).  Classes compose under xor, and for a generated
-family the four classes have equal size 2^(n-3) for every reference away
-from the four degenerate choices {}, s, sc, and the whole ground set.
+Against any reference set t, each member lands in the class with index
+2 * (cardinality parity) + (trace parity).  Classes compose under xor of
+the indices, and for a generated family the four classes have equal size
+2^(n-3) for every reference away from the four degenerate choices {}, s,
+sc, and the whole ground set.
 """
 
 import deltafree as df
-
-EVEN, ODD = df.Parity.EVEN, df.Parity.ODD
 
 family = df.generate_family(df.Generator(4, df.word_of([3, 4], 4)))
 print("family A(sc={3,4}), n=4:")
@@ -18,18 +17,19 @@ print(" ", [df.elements_of(w) for w in family.members])
 print()
 print("=== split against t={1,2,3} ===")
 split = df.partition_family(family, df.word_of([1, 2, 3], 4))
-for pair in df.ALL_CLASSES:
-    tag = f"({pair.card.name.lower()},{pair.trace.name.lower()})"
-    sets = [df.elements_of(w) for w in split.subfamilies[pair].members]
-    print(f"  class {tag:12} size {split.counts[pair]}: {sets}")
+for name, sub in zip(df.CLASS_NAMES, split):
+    tag = "(" + name.replace("_", ",") + ")"
+    sets = [df.elements_of(w) for w in sub.members]
+    print(f"  class {tag:12} size {len(sub)}: {sets}")
 
 print()
 print("=== the class xor table ===")
-order = [df.ParityPair(ODD, ODD), df.ParityPair(ODD, EVEN), df.ParityPair(EVEN, ODD), df.ParityPair(EVEN, EVEN)]
-label = {p: f"{p.card.name[0]}{p.trace.name[0]}".lower() for p in order}
+# class index 2 * card + trace; the class of A xor B is the xor of the indices
+order = [3, 2, 1, 0]
+label = ["".join(part[0] for part in name.split("_")) for name in df.CLASS_NAMES]
 print("      " + "  ".join(label[q] for q in order))
 for p in order:
-    row = "  ".join(label[df.delta_class(p, q)] for q in order)
+    row = "  ".join(label[p ^ q] for q in order)
     print(f"  {label[p]}  {row}")
 
 print()
@@ -38,7 +38,8 @@ gen = df.Generator(4, df.word_of([3, 4], 4))
 equal, degenerate = [], []
 for t in range(16):
     (equal if df.equal_split_expected(gen, t) else degenerate).append(t)
-    assert df.equal_split_expected(gen, t) == df.equal_split_observed(gen, t)
+    observed = all(len(sub) == 2 for sub in df.partition_family(df.generate_family(gen), t))
+    assert df.equal_split_expected(gen, t) == observed
 print(f"  equal 2/2/2/2 split for {len(equal)} of 16 references")
 print(
     "  degenerate references:",

@@ -6,16 +6,11 @@ from .construction import (
     Generator,
     generate_family,
     is_maximum_family,
-    linear_form_family,
     recognize_generator,
 )
 from .core import (
     MAX_GROUND,
     Family,
-    Parity,
-    all_odd_family,
-    card_parity,
-    complement_family,
     elements_of,
     find_closure_violation,
     find_delta_violation,
@@ -27,7 +22,6 @@ from .core import (
     is_quadruple_delta_free,
     is_union_free,
     parity_census,
-    trace_parity,
     validate_ground,
     validate_word,
     word_of,
@@ -38,7 +32,6 @@ from .enumeration import (
     canonical_form,
     enumerate_maximum_families,
     find_extension,
-    verify_completeness,
 )
 from .experiments import (
     DEFINITIONS,
@@ -49,14 +42,8 @@ from .experiments import (
     random_family,
 )
 from .partition import (
-    ALL_CLASSES,
-    ParityPair,
-    PartitionCounts,
-    class_of,
-    delta_class,
+    CLASS_NAMES,
     equal_split_expected,
-    equal_split_observed,
-    partition_counts,
     partition_family,
 )
 from .serialization import (
@@ -73,28 +60,19 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MAX_GROUND",
-    "ALL_CLASSES",
+    "CLASS_NAMES",
     "DEFINITIONS",
     "FORMAT_TAG",
     "EnumerationReport",
     "ExperimentConfig",
     "Family",
     "Generator",
-    "Parity",
-    "ParityPair",
-    "PartitionCounts",
     "SurvivalCurve",
     "SurvivalPoint",
-    "all_odd_family",
     "canonical_form",
-    "card_parity",
-    "class_of",
-    "complement_family",
-    "delta_class",
     "elements_of",
     "enumerate_maximum_families",
     "equal_split_expected",
-    "equal_split_observed",
     "estimate_survival",
     "family_from_json",
     "family_from_lines",
@@ -113,17 +91,13 @@ __all__ = [
     "is_maximum_family",
     "is_quadruple_delta_free",
     "is_union_free",
-    "linear_form_family",
     "parity_census",
     "parse_element_set",
-    "partition_counts",
     "partition_family",
     "random_family",
     "recognize_generator",
-    "trace_parity",
     "validate_ground",
     "validate_word",
-    "verify_completeness",
     "word_of",
     "xor_pair_counts",
 ]

@@ -25,7 +25,7 @@ from .construction import Generator, generate_family, recognize_generator
 from .core import _CHECKS, Family, elements_of
 from .enumeration import enumerate_maximum_families
 from .experiments import DEFINITIONS, ExperimentConfig, estimate_survival
-from .partition import ALL_CLASSES, partition_family
+from .partition import CLASS_NAMES, partition_family
 from .serialization import (
     INLINE_JSON_STYLE,
     LINES_STYLE,
@@ -138,12 +138,11 @@ def cmd_partition(args: argparse.Namespace) -> int:
     family = _load_family(args.file, args.n)
     t = parse_element_set(args.t, family.n)
     split = partition_family(family, t)
-    names = {pair: f"{pair.card.name.lower()}_{pair.trace.name.lower()}" for pair in ALL_CLASSES}
     payload = {
         "n": family.n,
         "t": list(elements_of(t)),
-        "counts": {names[pair]: split.counts[pair] for pair in ALL_CLASSES},
-        "classes": {names[pair]: split.subfamilies[pair] for pair in ALL_CLASSES},
+        "counts": dict(zip(CLASS_NAMES, map(len, split))),
+        "classes": dict(zip(CLASS_NAMES, split)),
     }
     print(_json_text(payload))
     return 0

@@ -3,9 +3,11 @@
 Every maximum family (size 2^(n-1)) arises from a proper subset ``sc`` of
 the ground set: take the odd-cardinality words whose intersection with
 ``sc`` is even together with the even words whose intersection is odd.
-Equivalently, over GF(2) these are exactly the words with odd trace
-against the complement ``s``; the second formulation is kept as an
-independent cross-check of the first.
+Over GF(2) these are exactly the words with odd trace against the
+complement ``s``, the family A(s), and that linear form is what
+:func:`generate_family` builds, in one pass and already in ascending
+order.  The cardinality-against-``sc`` rule is the independent oracle the
+tests compare it with.
 
 Recognition needs no rebuild: the singletons in the family of ``s`` are
 exactly the elements of ``s``, and 2^(n-1) words with odd trace against a
@@ -23,7 +25,6 @@ from .core import (
     _vector_parity,
     full_word,
     is_delta_free,
-    validate_ground,
     validate_word,
 )
 
@@ -55,28 +56,26 @@ class Generator:
 
 
 def generate_family(gen: Generator) -> Family:
-    """The maximum delta-free family defined by ``gen``.
+    """The maximum delta-free family defined by ``gen``: the 2^(n-1) words
+    with odd trace against ``s``.
 
-    Membership rule: cardinality parity and trace parity against ``sc``
-    must differ (odd/even or even/odd).  Always 2^(n-1) words.
+    Let k be the least element of ``s``.  A member's bit k is 1 xor the
+    trace of its bits above k against ``s``, so the words with bit k set
+    and nothing above it are members, and setting a higher bit i keeps a
+    member a member iff bit k flips exactly when i is in ``s``.  Doubling
+    the block once per bit above k lists every member in ascending order:
+    the new half lies above the old one, and flipping bit k for a whole
+    block of 2^k words keeps their order.
     """
-    words = np.arange(1 << gen.n, dtype=np.uint32)
-    card = _vector_parity(words)
-    trace = _vector_parity(words & np.uint32(gen.sc))
-    return Family(gen.n, words[card != trace])
-
-
-def linear_form_family(n: int, s: int) -> Family:
-    """All words with odd trace against ``s`` (s must be nonempty).
-
-    This is the GF(2) reformulation of :func:`generate_family` with
-    ``sc = ground \\ s``; it is used as the independent construction route.
-    """
-    validate_word(s, n)
-    if s == 0:
-        raise ValueError("s must be nonempty (sc must be a proper subset)")
-    words = np.arange(1 << n, dtype=np.uint32)
-    return Family(n, words[_vector_parity(words & np.uint32(s)) == 1])
+    s = gen.s
+    k = (s & -s).bit_length() - 1
+    words = np.empty(1 << (gen.n - 1), dtype=np.uint32)
+    size = 1 << k
+    words[:size] = np.arange(size, dtype=np.uint32) | np.uint32(size)
+    for i in range(k + 1, gen.n):
+        np.bitwise_xor(words[:size], (1 << i) | (s >> i & 1) << k, out=words[size : 2 * size])
+        size *= 2
+    return Family(gen.n, words)
 
 
 def recognize_generator(family: Family) -> Generator | None:

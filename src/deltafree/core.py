@@ -30,7 +30,6 @@ the union witness is a pair scan, which stops early only on a free family.
 
 from __future__ import annotations
 
-import enum
 import operator
 from typing import Iterable, Iterator
 
@@ -41,20 +40,6 @@ MAX_GROUND = 24
 
 # Below this many members a direct early-exit pair scan beats the transform.
 _SMALL_SCAN_LIMIT = 48
-
-_MASK64 = (1 << 64) - 1
-
-
-class Parity(enum.IntEnum):
-    """Cardinality or trace parity; xor-composable, EVEN is the identity."""
-
-    EVEN = 0
-    ODD = 1
-
-    def __xor__(self, other: "Parity") -> "Parity":  # type: ignore[override]
-        return Parity(int(self) ^ int(other))
-
-    __rxor__ = __xor__
 
 
 def validate_ground(n: int) -> None:
@@ -100,16 +85,6 @@ def elements_of(word: int) -> tuple[int, ...]:
         out.append(low.bit_length())
         w ^= low
     return tuple(out)
-
-
-def card_parity(a: int) -> Parity:
-    """Parity of |a|."""
-    return Parity(int(a).bit_count() & 1)
-
-
-def trace_parity(a: int, t: int) -> Parity:
-    """Parity of |a ∩ t|."""
-    return Parity(int(a & t).bit_count() & 1)
 
 
 def _vector_parity(arr: np.ndarray) -> np.ndarray:
@@ -211,25 +186,12 @@ class Family:
         return np.unpackbits(self._table, bitorder="little", count=1 << self.n)
 
 
-def complement_family(family: Family) -> Family:
-    """All words of the power set that are not members."""
-    absent = np.flatnonzero(family.table_bits() == 0).astype(np.uint32)
-    return Family(family.n, absent)
-
-
 def parity_census(family: Family) -> tuple[int, int]:
     """(even member count, odd member count)."""
     if not family._arr.size:
         return (0, 0)
     odd = int(_vector_parity(family._arr).sum())
     return (family._arr.size - odd, odd)
-
-
-def all_odd_family(n: int) -> Family:
-    """All 2^(n-1) odd-cardinality subsets of {1, ..., n}."""
-    validate_ground(n)
-    words = np.arange(1 << n, dtype=np.uint32)
-    return Family(n, words[_vector_parity(words) == 1])
 
 
 def _walsh(vec: np.ndarray) -> np.ndarray:

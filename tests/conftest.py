@@ -174,6 +174,35 @@ def naive_generate(n: int, sc: int) -> set[int]:
     return out
 
 
+def parity_rule_family(n: int, sc: int) -> df.Family:
+    """The construction rule, vectorized with numpy's popcount: the words
+    whose cardinality parity differs from their trace parity against sc.
+    generate_family builds the same words another way, as the words with
+    odd trace against s = ground \\ sc."""
+    words = np.arange(1 << n, dtype=np.uint32)
+    card = np.bitwise_count(words) & 1
+    trace = np.bitwise_count(words & np.uint32(sc)) & 1
+    return df.Family(n, words[card != trace])
+
+
+def all_odd_family(n: int) -> df.Family:
+    """All 2^(n-1) odd-cardinality subsets of {1, ..., n}."""
+    return parity_rule_family(n, 0)
+
+
+def complement_family(family: df.Family) -> df.Family:
+    """All words of the power set that are not members."""
+    return df.Family(family.n, np.flatnonzero(family.table_bits() == 0))
+
+
+def verify_completeness(report: df.EnumerationReport) -> bool:
+    """True iff the report holds all 2^n - 1 families and each one is
+    recognized as a generated family."""
+    return report.total == (1 << report.n) - 1 and all(
+        df.recognize_generator(f) is not None for f in report.families
+    )
+
+
 @st.composite
 def family_strategy(draw, max_n: int = 6, max_size: int | None = None):
     n = draw(st.integers(min_value=1, max_value=max_n))

@@ -14,6 +14,7 @@ import time
 import numpy as np
 
 import deltafree as df
+from conftest import complement_family, verify_completeness
 from deltafree.cli import main as cli_main
 
 GRID21 = tuple(i / 20 for i in range(21))
@@ -54,7 +55,7 @@ def test_criterion_2_completeness_at_desk_scale():
     for n, total in expected_totals.items():
         report = df.enumerate_maximum_families(n)
         assert report.total == total
-        assert df.verify_completeness(report)
+        assert verify_completeness(report)
         generated = {df.generate_family(g) for g in all_generators(n)}
         assert set(report.families) == generated
     small_elapsed = time.monotonic() - start
@@ -64,7 +65,7 @@ def test_criterion_2_completeness_at_desk_scale():
     report5 = df.enumerate_maximum_families(5)
     elapsed5 = time.monotonic() - start5
     assert report5.total == 31
-    assert df.verify_completeness(report5)
+    assert verify_completeness(report5)
     assert set(report5.families) == {df.generate_family(g) for g in all_generators(5)}
     assert elapsed5 < 600.0
 
@@ -73,7 +74,7 @@ def test_criterion_2_completeness_at_desk_scale():
         report = df.enumerate_maximum_families(n)
         assert report.total == total
         assert report.all_generated
-        assert df.verify_completeness(report)
+        assert verify_completeness(report)
         assert set(report.families) == {df.generate_family(g) for g in all_generators(n)}
         assert report.class_sizes == tuple(sorted(math.comb(n, k) for k in range(n)))
     elapsed_large = time.monotonic() - start_large
@@ -122,27 +123,29 @@ def test_criterion_5_golden_worked_examples():
     assert gen is not None
     assert gen.sc == df.word_of([3, 4], 4)  # derived value; {3} alone would admit {4}
 
+    # classes by index 2 * card + trace: ee, eo, oe, oo
     split = df.partition_family(catalog4, df.word_of([1, 2, 3], 4))
-    odd, even = df.Parity.ODD, df.Parity.EVEN
-    assert split.subfamilies[df.ParityPair(odd, odd)] == build(4, (1,), (2,))
-    assert split.subfamilies[df.ParityPair(even, odd)] == build(4, (1, 4), (2, 4))
-    assert split.subfamilies[df.ParityPair(odd, even)] == build(4, (1, 3, 4), (2, 3, 4))
-    assert split.subfamilies[df.ParityPair(even, even)] == build(4, (1, 3), (2, 3))
+    assert split[3] == build(4, (1,), (2,))
+    assert split[1] == build(4, (1, 4), (2, 4))
+    assert split[2] == build(4, (1, 3, 4), (2, 3, 4))
+    assert split[0] == build(4, (1, 3), (2, 3))
     _announce(5, "n=5 worked family, catalog sc={3,4}, and the four displayed classes")
 
 
 def test_criterion_6_partition_algebra():
-    # class homomorphism, every word pair and every reference, n <= 6;
-    # parities recomputed here with numpy's popcount, not the library's fold
+    # class homomorphism, every word pair and every reference, n <= 6: the
+    # class index 2 * card + trace, recomputed here with numpy's popcount
+    # rather than the library's fold, of a xor b is idx(a) ^ idx(b), and
+    # the partition of the power set puts each word in its index's class
     for n in range(1, 7):
         words = np.arange(1 << n, dtype=np.uint32)
         pair_xor = np.bitwise_xor.outer(words, words)
         card = np.bitwise_count(words) & 1
-        card_pairs = card[:, None] ^ card[None, :]
         for t in range(1 << n):
-            trace = np.bitwise_count(words & np.uint32(t)) & 1
-            assert (card[pair_xor] == card_pairs).all()
-            assert (trace[pair_xor] == (trace[:, None] ^ trace[None, :])).all()
+            idx = card << 1 | np.bitwise_count(words & np.uint32(t)) & 1
+            assert (idx[pair_xor] == (idx[:, None] ^ idx[None, :])).all()
+            split = df.partition_family(df.Family(n, words), t)
+            assert split == tuple(df.Family(n, words[idx == c]) for c in range(4))
 
     # equal-split prediction vs direct counting, all (sc, t), 3 <= n <= 8
     for n in range(3, 9):
@@ -150,11 +153,7 @@ def test_criterion_6_partition_algebra():
         for g in all_generators(n):
             fam = df.generate_family(g)
             for t in range(1 << n):
-                if n <= 6:
-                    counts = df.partition_family(fam, t).counts
-                else:
-                    counts = df.partition_counts(fam, t)
-                observed = all(c == quarter for c in counts.values())
+                observed = all(len(sub) == quarter for sub in df.partition_family(fam, t))
                 assert df.equal_split_expected(g, t) == observed
     _announce(6, "xor-class homomorphism (n<=6) and equal-split agreement (3<=n<=8)")
 
@@ -162,7 +161,7 @@ def test_criterion_6_partition_algebra():
 def test_criterion_7_complement_closure():
     for n in range(1, 9):
         for g in all_generators(n):
-            comp = df.complement_family(df.generate_family(g))
+            comp = complement_family(df.generate_family(g))
             assert df.is_delta_closed(comp)
     _announce(7, "complement of every generated family is delta-closed, n<=8")
 

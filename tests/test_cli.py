@@ -15,7 +15,7 @@ import pytest
 
 import deltafree as df
 from deltafree.cli import build_parser, main
-from conftest import oracle_cli_json, oracle_set_lists
+from conftest import all_odd_family, oracle_cli_json, oracle_set_lists
 
 
 # Lets `python -m deltafree` in a child process import the package under test.
@@ -153,13 +153,13 @@ class TestCheck:
 
     def test_json_family_file(self, capsys, tmp_path):
         path = tmp_path / "f.json"
-        path.write_text(df.family_to_json(df.all_odd_family(3)))
+        path.write_text(df.family_to_json(all_odd_family(3)))
         code, out, _ = run_cli(capsys, "check", "--file", str(path))
         assert code == 0 and out.strip() == "FREE"
 
     def test_n_override_contradicting_json_ground_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "f.json"
-        path.write_text(df.family_to_json(df.all_odd_family(3)))
+        path.write_text(df.family_to_json(all_odd_family(3)))
         code, _, err = run_cli(capsys, "check", "--file", str(path), "--n", "5")
         assert code == 2 and "contradicts" in err
 
@@ -172,7 +172,7 @@ class TestClassify:
 
     def test_all_odd(self, capsys, tmp_path):
         path = tmp_path / "f.txt"
-        path.write_text(df.family_to_lines(df.all_odd_family(4)))
+        path.write_text(df.family_to_lines(all_odd_family(4)))
         code, out, _ = run_cli(capsys, "classify", "--file", str(path))
         assert code == 0
         assert out.splitlines() == ["sc = {}", "GENERATED"]
@@ -274,10 +274,6 @@ class TestThreshold:
         assert code == 2
 
 
-def _class_name(pair) -> str:
-    return f"{pair.card.name.lower()}_{pair.trace.name.lower()}"
-
-
 class TestStdoutMatchesJsonDumpsOracle:
     """The CLI's JSON stdout equals json.dumps(indent=2) with innermost
     integer lists collapsed onto one line, byte for byte."""
@@ -298,9 +294,9 @@ class TestStdoutMatchesJsonDumpsOracle:
             payload = {
                 "n": n,
                 "t": list(df.elements_of(t)),
-                "counts": {_class_name(p): split.counts[p] for p in df.ALL_CLASSES},
+                "counts": {name: len(sub) for name, sub in zip(df.CLASS_NAMES, split)},
                 "classes": {
-                    _class_name(p): oracle_set_lists(split.subfamilies[p]) for p in df.ALL_CLASSES
+                    name: oracle_set_lists(sub) for name, sub in zip(df.CLASS_NAMES, split)
                 },
             }
             assert code == 0
@@ -316,8 +312,8 @@ class TestStdoutMatchesJsonDumpsOracle:
         assert out == oracle_cli_json({
             "n": family.n,
             "t": [1],
-            "counts": {_class_name(p): split.counts[p] for p in df.ALL_CLASSES},
-            "classes": {_class_name(p): oracle_set_lists(split.subfamilies[p]) for p in df.ALL_CLASSES},
+            "counts": {name: len(sub) for name, sub in zip(df.CLASS_NAMES, split)},
+            "classes": {name: oracle_set_lists(sub) for name, sub in zip(df.CLASS_NAMES, split)},
         })
 
     @pytest.mark.parametrize("n", [3, 4, 5])

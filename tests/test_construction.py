@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given
 
 import deltafree as df
-from conftest import fam, generator_strategy, naive_generate
+from conftest import (
+    all_odd_family,
+    complement_family,
+    fam,
+    generator_strategy,
+    naive_generate,
+    parity_rule_family,
+)
+from deltafree import construction
 
 N4_CATALOG = fam(
     4, (1,), (2,), (1, 3), (1, 4), (2, 3), (2, 4), (1, 3, 4), (2, 3, 4)
@@ -77,7 +85,7 @@ class TestGenerateFamily:
 
     def test_empty_sc_gives_all_odd(self):
         for n in range(1, 10):
-            assert df.generate_family(df.Generator(n, 0)) == df.all_odd_family(n)
+            assert df.generate_family(df.Generator(n, 0)) == all_odd_family(n)
 
     def test_singleton_s_gives_point_filter(self):
         g = df.Generator(4, df.word_of([2, 3, 4], 4))
@@ -119,7 +127,7 @@ class TestGenerateFamily:
     def test_complement_is_delta_closed_n8(self):
         for n in range(1, 9):
             for g in all_generators(n):
-                comp = df.complement_family(df.generate_family(g))
+                comp = complement_family(df.generate_family(g))
                 assert df.is_delta_closed(comp)
 
     def test_every_generated_family_contains_its_singletons(self):
@@ -131,30 +139,60 @@ class TestGenerateFamily:
                         assert (1 << j) in f
 
 
-class TestLinearFormFamily:
+class TestParityRuleOracle:
+    """generate_family lists the words with odd trace against s; the
+    conftest oracle applies the cardinality-against-sc rule to every word."""
+
+    @staticmethod
+    def generated_words(g, monkeypatch):
+        """The word array generate_family hands to Family, before any sort."""
+        seen = []
+
+        def capture(n, words):
+            seen.append(words.copy())
+            return df.Family(n, words)
+
+        monkeypatch.setattr(construction, "Family", capture)
+        df.generate_family(g)
+        monkeypatch.undo()
+        return seen[0]
+
     def test_two_elements(self):
-        f = df.linear_form_family(2, df.word_of([1, 2], 2))
-        assert f == fam(2, (1,), (2,))
+        assert parity_rule_family(2, 0) == fam(2, (1,), (2,))
 
     def test_point_filter(self):
-        f = df.linear_form_family(4, df.word_of([1], 4))
+        f = parity_rule_family(4, df.word_of([2, 3, 4], 4))
         assert f.members == tuple(w for w in range(16) if w & 1)
 
     def test_empty_s_rejected(self):
         with pytest.raises(ValueError):
-            df.linear_form_family(3, 0)
+            df.Generator(3, df.full_word(3))
 
-    def test_equals_generated_route_exhaustive_through_n12(self):
+    def test_equals_generated_route_exhaustive_through_n12(self, monkeypatch):
+        # the words come out strictly ascending, so Family need not sort them
         for n in range(1, 13):
-            full = df.full_word(n)
             for g in all_generators(n):
-                assert df.linear_form_family(n, full ^ g.sc) == df.generate_family(g)
+                words = self.generated_words(g, monkeypatch)
+                assert (words[1:] > words[:-1]).all()
+                assert np.array_equal(words, parity_rule_family(n, g.sc)._arr)
+
+    @pytest.mark.parametrize("n", [16, 21, 24])
+    def test_large_n_with_least_element_of_s_low_middle_and_top(self, n, monkeypatch):
+        rng = random.Random(n)
+        full = df.full_word(n)
+        for k in (0, n // 2, n - 1):
+            s = (rng.getrandbits(n) | 1 << k) & full & -(1 << k)  # least element is k + 1
+            g = df.Generator(n, full ^ s)
+            words = self.generated_words(g, monkeypatch)
+            assert words.size == 1 << (n - 1)
+            assert (words[1:] > words[:-1]).all()
+            assert np.array_equal(words, parity_rule_family(n, g.sc)._arr)
 
 
 class TestRecoverAndRecognize:
     def test_all_odd_recovers_empty_sc(self):
         for n in range(1, 9):
-            assert df.recognize_generator(df.all_odd_family(n)) == df.Generator(n, 0)
+            assert df.recognize_generator(all_odd_family(n)) == df.Generator(n, 0)
 
     def test_catalog_family_recovers_3_4(self):
         # the singleton members are {1} and {2}, so sc = {3,4}; the family
@@ -214,7 +252,7 @@ class TestRecoverAndRecognize:
 class TestIsMaximumFamily:
     def test_all_odd_is_maximum(self):
         for n in range(1, 10):
-            assert df.is_maximum_family(df.all_odd_family(n))
+            assert df.is_maximum_family(all_odd_family(n))
 
     def test_small_family_is_not(self):
         assert not df.is_maximum_family(fam(3, (1,), (1, 2)))

@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,11 +15,13 @@ from hypothesis import example, given
 
 import deltafree as df
 from conftest import (
+    all_odd_family,
     fam,
     family_strategy,
     naive_canonical_form,
     naive_delta_free,
     naive_maximum_families,
+    verify_completeness,
 )
 from deltafree import enumeration
 
@@ -38,7 +41,7 @@ class TestEnumerate:
     def test_n3_has_seven_families(self):
         report = df.enumerate_maximum_families(3)
         assert report.total == 7
-        assert df.all_odd_family(3) in report.families
+        assert all_odd_family(3) in report.families
         assert fam(3, (1,), (1, 2), (1, 3), (1, 2, 3)) in report.families
         assert fam(3, (1,), (2,), (1, 3), (2, 3)) in report.families
 
@@ -50,7 +53,7 @@ class TestEnumerate:
         report = df.enumerate_maximum_families(n)
         assert set(report.families) == generated_catalog(n)
         assert report.all_generated
-        assert df.verify_completeness(report)
+        assert verify_completeness(report)
 
     def test_families_are_sorted_and_delta_free(self):
         report = df.enumerate_maximum_families(4)
@@ -98,7 +101,17 @@ class TestEnumerate:
             class_sizes=report.class_sizes,
             elapsed=report.elapsed,
         )
-        assert not df.verify_completeness(clipped)
+        assert not verify_completeness(clipped)
+
+    def test_elapsed_covers_the_class_census(self, monkeypatch):
+        census = enumeration._class_size_census
+
+        def slow_census(families):
+            time.sleep(0.05)
+            return census(families)
+
+        monkeypatch.setattr(enumeration, "_class_size_census", slow_census)
+        assert df.enumerate_maximum_families(3).elapsed >= 0.05
 
 
 class TestCanonicalForm:
@@ -175,7 +188,7 @@ class TestCanonicalFormMatchesNaiveScan:
 
     def test_all_odd_family_n8(self):
         # the worst case: all 8! partial maps tie to the last level
-        self.assert_matches(df.all_odd_family(8))
+        self.assert_matches(all_odd_family(8))
 
     @given(family_strategy(max_n=6))
     @example(df.Family(4, [1, 2, 4, 8, 3]))
@@ -203,7 +216,7 @@ class TestCanonicalFormOfSymmetricFamilies:
         rng = random.Random(n)
         # A(s) for each |s| = n - k, the all-odd family among them (k = 0)
         families = [df.generate_family(df.Generator(n, (1 << k) - 1)) for k in range(n)]
-        assert families[0] == df.all_odd_family(n)
+        assert families[0] == all_odd_family(n)
         for f in families:
             form = df.canonical_form(f)
             for _ in range(4):
@@ -215,7 +228,7 @@ class TestCanonicalFormOfSymmetricFamilies:
     def test_all_odd_family_n8_memory(self):
         # without merging, all 8! tied partial maps reach the last level
         # and their temporaries peak near 20 MB
-        f = df.all_odd_family(8)
+        f = all_odd_family(8)
         tracemalloc.start()
         try:
             df.canonical_form(f)
@@ -246,7 +259,7 @@ class TestIsomorphismClasses:
 class TestFindExtension:
     def test_all_odd_family_has_none(self):
         for n in range(1, 7):
-            assert df.find_extension(df.all_odd_family(n)) is None
+            assert df.find_extension(all_odd_family(n)) is None
 
     def test_two_member_example(self):
         f = fam(3, (1, 2, 3), (1, 2))

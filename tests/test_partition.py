@@ -1,98 +1,98 @@
-"""Four-class partition machinery: the xor table, worked example, and the
-equal-split predicate against direct counting."""
+"""Four-class partition machinery: the class index and its xor law, the
+worked example, and the equal-split predicate against direct counting."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import deltafree as df
-from conftest import fam, family_strategy
+from conftest import all_odd_family, fam, family_strategy
 
-EVEN, ODD = df.Parity.EVEN, df.Parity.ODD
-
-
-def pp(card, trace):
-    return df.ParityPair(card, trace)
+# class indices 2 * card + trace
+EE, EO, OE, OO = range(4)
 
 
-class TestDeltaClass:
-    def test_mixed_classes_example(self):
-        assert df.delta_class(pp(ODD, EVEN), pp(EVEN, ODD)) == pp(ODD, ODD)
+def class_indices(words: np.ndarray, t: int) -> np.ndarray:
+    """Each word's class index against t, by numpy's popcount."""
+    card = np.bitwise_count(words) & 1
+    trace = np.bitwise_count(words & np.uint32(t)) & 1
+    return card << 1 | trace
 
-    def test_diagonal_entry(self):
-        assert df.delta_class(pp(ODD, ODD), pp(ODD, ODD)) == pp(EVEN, EVEN)
 
-    def test_identity_element(self):
-        for p in df.ALL_CLASSES:
-            assert df.delta_class(p, pp(EVEN, EVEN)) == p
+def split_is_equal(g: df.Generator, t: int) -> bool:
+    """Whether every class of generate_family(g) against t has 2^(n-3) members."""
+    quarter = 1 << (g.n - 3)
+    return all(len(sub) == quarter for sub in df.partition_family(df.generate_family(g), t))
 
-    def test_full_xor_table(self):
-        # rows/columns ordered oo, oe, eo, ee; entries as in the 4x4 table
-        order = [pp(ODD, ODD), pp(ODD, EVEN), pp(EVEN, ODD), pp(EVEN, EVEN)]
-        expect = [
-            [pp(EVEN, EVEN), pp(EVEN, ODD), pp(ODD, EVEN), pp(ODD, ODD)],
-            [pp(EVEN, ODD), pp(EVEN, EVEN), pp(ODD, ODD), pp(ODD, EVEN)],
-            [pp(ODD, EVEN), pp(ODD, ODD), pp(EVEN, EVEN), pp(EVEN, ODD)],
-            [pp(ODD, ODD), pp(ODD, EVEN), pp(EVEN, ODD), pp(EVEN, EVEN)],
-        ]
-        for i, p in enumerate(order):
-            for j, q in enumerate(order):
-                assert df.delta_class(p, q) == expect[i][j]
 
-    def test_homomorphism_exhaustive_small(self):
-        for n in (1, 2, 3, 4):
-            top = 1 << n
-            for t in range(top):
-                classes = [df.class_of(w, t) for w in range(top)]
-                for a in range(top):
-                    for b in range(top):
-                        assert classes[a ^ b] == df.delta_class(classes[a], classes[b])
+class TestClassIndex:
+    def test_names_by_index(self):
+        assert df.CLASS_NAMES == ("even_even", "even_odd", "odd_even", "odd_odd")
+
+    def test_examples(self):
+        # {1,2,3} is odd, and {} and {2,3} even, each with even trace against {}
+        f = fam(4, (), (2, 3), (1, 2, 3))
+        assert df.partition_family(f, 0) == (fam(4, (), (2, 3)), fam(4), fam(4, (1, 2, 3)), fam(4))
+        split = df.partition_family(fam(4, (1, 3, 4)), df.word_of([3, 4], 4))
+        assert split[OE] == fam(4, (1, 3, 4))
+
+    def test_xor_of_indices_exhaustive(self):
+        # for every t, a and b: the partition puts each word in its index's
+        # class, and the class index of a xor b is idx(a) ^ idx(b)
+        for n in range(1, 9):
+            words = np.arange(1 << n, dtype=np.uint32)
+            power_set = df.Family(n, words)
+            for t in range(1 << n):
+                idx = class_indices(words, t)
+                split = df.partition_family(power_set, t)
+                assert split == tuple(df.Family(n, words[idx == c]) for c in range(4))
+                assert (idx[words[:, None] ^ words[None, :]] == idx[:, None] ^ idx[None, :]).all()
 
 
 class TestPartitionFamily:
     def test_worked_example(self):
         family = fam(4, (1,), (2,), (1, 3), (1, 4), (2, 3), (2, 4), (1, 3, 4), (2, 3, 4))
         split = df.partition_family(family, df.word_of([1, 2, 3], 4))
-        assert split.subfamilies[pp(ODD, ODD)] == fam(4, (1,), (2,))
-        assert split.subfamilies[pp(EVEN, ODD)] == fam(4, (1, 4), (2, 4))
-        assert split.subfamilies[pp(ODD, EVEN)] == fam(4, (1, 3, 4), (2, 3, 4))
-        assert split.subfamilies[pp(EVEN, EVEN)] == fam(4, (1, 3), (2, 3))
-        assert all(c == 2 for c in split.counts.values())
+        assert split[OO] == fam(4, (1,), (2,))
+        assert split[EO] == fam(4, (1, 4), (2, 4))
+        assert split[OE] == fam(4, (1, 3, 4), (2, 3, 4))
+        assert split[EE] == fam(4, (1, 3), (2, 3))
+        assert all(len(sub) == 2 for sub in split)
 
     def test_empty_reference_puts_everything_in_even_trace(self):
-        f = df.all_odd_family(3)
+        f = all_odd_family(3)
         split = df.partition_family(f, 0)
-        assert split.counts[pp(ODD, EVEN)] == len(f)
-        assert split.counts[pp(ODD, ODD)] == 0
-        assert split.counts[pp(EVEN, ODD)] == 0
+        assert len(split[OE]) == len(f)
+        assert len(split[OO]) == 0
+        assert len(split[EO]) == 0
 
     def test_reference_equal_to_sc_empties_matching_classes(self):
         for n in range(2, 7):
             for sc in range(1, (1 << n) - 1):
                 g = df.Generator(n, sc)
                 split = df.partition_family(df.generate_family(g), sc)
-                assert split.counts[pp(ODD, ODD)] == 0
-                assert split.counts[pp(EVEN, EVEN)] == 0
+                assert len(split[OO]) == 0
+                assert len(split[EE]) == 0
 
     @given(family_strategy(max_n=6), st.integers(min_value=0, max_value=63))
     def test_partition_is_a_partition(self, f, t):
         t &= (1 << f.n) - 1
         split = df.partition_family(f, t)
-        assert split.total == len(f)
-        recovered = sorted(
-            w for sub in split.subfamilies.values() for w in sub.members
-        )
+        assert len(split) == 4
+        assert sum(map(len, split)) == len(f)
+        recovered = sorted(w for sub in split for w in sub.members)
         assert tuple(recovered) == f.members
-        for pair, sub in split.subfamilies.items():
-            for w in sub.members:
-                assert df.class_of(w, t) == pair
+        for c, sub in enumerate(split):
+            assert (class_indices(sub._arr, t) == c).all()
 
     @given(family_strategy(max_n=6), st.integers(min_value=0, max_value=63))
-    def test_counts_helper_agrees(self, f, t):
+    def test_counts_agree_with_popcount(self, f, t):
         t &= (1 << f.n) - 1
-        assert df.partition_counts(f, t) == df.partition_family(f, t).counts
+        counts = np.bincount(class_indices(f._arr, t), minlength=4)
+        assert [len(sub) for sub in df.partition_family(f, t)] == counts.tolist()
 
     def test_reference_must_fit_ground(self):
         with pytest.raises(ValueError):
@@ -108,29 +108,24 @@ class TestEqualSplit:
         g = df.Generator(4, df.word_of([3, 4], 4))
         t = df.word_of([1, 2, 3], 4)
         assert df.equal_split_expected(g, t)
-        counts = df.partition_counts(df.generate_family(g), t)
-        assert all(c == 2 for c in counts.values())
+        split = df.partition_family(df.generate_family(g), t)
+        assert all(len(sub) == 2 for sub in split)
 
     def test_degenerate_references_fail(self):
         g = df.Generator(4, df.word_of([3, 4], 4))
         for t in (0, g.s, g.sc, df.full_word(4)):
             assert not df.equal_split_expected(g, t)
-            assert not df.equal_split_observed(g, t)
+            assert not split_is_equal(g, t)
 
     def test_all_odd_generator_never_splits_equally(self):
         g = df.Generator(4, 0)
         for t in range(16):
             assert not df.equal_split_expected(g, t)
-            assert not df.equal_split_observed(g, t)
+            assert not split_is_equal(g, t)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_predicate_agrees_with_counting_exhaustive(self, n):
         for sc in range((1 << n) - 1):
             g = df.Generator(n, sc)
-            fam_g = df.generate_family(g)
-            quarter = 1 << (n - 3)
             for t in range(1 << n):
-                observed = all(
-                    c == quarter for c in df.partition_counts(fam_g, t).values()
-                )
-                assert df.equal_split_expected(g, t) == observed
+                assert df.equal_split_expected(g, t) == split_is_equal(g, t)
