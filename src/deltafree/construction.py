@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Family,
-    _vector_parity,
-    full_word,
-    is_delta_free,
-    validate_word,
-)
+from .core import Family, full_word, is_delta_free, validate_word
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,7 +83,7 @@ def recognize_generator(family: Family) -> Generator | None:
     if m.size != 1 << (family.n - 1):
         return None
     s = int(np.bitwise_or.reduce(m[(m & (m - 1)) == 0]))
-    if not _vector_parity(m & np.uint32(s)).all():  # also refuses s = 0
+    if not (np.bitwise_count(m & np.uint32(s)) & 1).all():  # also refuses s = 0
         return None
     return Generator(family.n, full_word(family.n) ^ s)
 

@@ -3,15 +3,15 @@
 A subset of the ground set {1, ..., n} is a plain int: element i is bit
 i - 1, the empty set is 0, and the whole ground set is (1 << n) - 1.
 A :class:`Family` bundles a ground size with its members stored once, as
-a deduplicated ascending ``uint32`` array, plus a packed 2^n-bit
-membership table derived from it; everything downstream (construction,
-enumeration, partitioning, random sampling) works on the array and the
-table.
+a deduplicated ascending ``uint32`` array; everything downstream
+(construction, enumeration, partitioning, random sampling) works on that
+array, and a vector over all 2^n words is scattered from it only where a
+caller needs one.
 
 The expensive family predicates are decided bit-parallel: the xor
 pair-count vector of a family (how many ordered member pairs have a given
-symmetric difference) is computed with a Walsh transform of the
-membership table, which turns the quadratic pair scans into O(n * 2^n)
+symmetric difference) is computed with a Walsh transform of the members'
+indicator vector, which turns the quadratic pair scans into O(n * 2^n)
 vector work for every supported n.  The counts are exact although the
 second transform's partial sums (up to 2^(3n)) overflow int64: the
 transform only adds and subtracts, so wrapping int64 arithmetic yields the
@@ -35,7 +35,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-#: Largest supported ground size; keeps the dense membership table at 2 MiB.
+#: Largest supported ground size; the pair-count transform's int64 vector
+#: has 2^MAX_GROUND entries (128 MiB).
 MAX_GROUND = 24
 
 # Below this many members a direct early-exit pair scan beats the transform.
@@ -87,32 +88,20 @@ def elements_of(word: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _vector_parity(arr: np.ndarray) -> np.ndarray:
-    """Popcount mod 2 of each entry, vectorized (entries must fit 32 bits)."""
-    v = arr.astype(np.uint32)
-    v ^= v >> 16
-    v ^= v >> 8
-    v ^= v >> 4
-    v ^= v >> 2
-    v ^= v >> 1
-    return (v & 1).astype(np.uint8)
-
-
 class Family:
     """An immutable, deduplicated collection of set words over a fixed ground.
 
     The members are held once, as a read-only ``uint32`` array ascending by
     word value (the canonical order used everywhere for output and
-    witnesses), together with a packed bit table holding one present/absent
-    flag per possible word.  Members are given as a 1-D integer array or
-    as an iterable of ints; anything else is refused rather than coerced.
+    witnesses); membership is a binary search in it.  Members are given as
+    a 1-D integer array or as an iterable of ints; anything else is refused
+    rather than coerced.
     """
 
-    __slots__ = ("n", "_arr", "_table", "_hash")
+    __slots__ = ("n", "_arr", "_hash")
 
     def __init__(self, n: int, members: Iterable[int] = ()) -> None:
         validate_ground(n)
-        top = 1 << n
         if isinstance(members, np.ndarray):
             if members.ndim != 1 or members.dtype.kind not in "iu":
                 raise ValueError(
@@ -133,18 +122,13 @@ class Family:
                 words = [int(w) for w in words]
             words = sorted(set(words))
         # checked before the uint32 cast, so ints past int64 get this error too
-        if len(words) and (words[0] < 0 or words[-1] >= top):
+        if len(words) and (words[0] < 0 or words[-1] >= 1 << n):
             bad = words[0] if words[0] < 0 else words[-1]
             raise ValueError(f"word {int(bad)} does not fit ground size {n}")
         words = np.array(words, dtype=np.uint32)
-        table = np.zeros(max(1, top >> 3), dtype=np.uint8)
-        if words.size:
-            np.bitwise_or.at(table, words >> 3, (1 << (words & 7)).astype(np.uint8))
         words.setflags(write=False)
-        table.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_arr", words)
-        object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -163,10 +147,9 @@ class Family:
 
     def __contains__(self, word: int) -> bool:
         validate_word(word, self.n)
-        return self._has(int(word))
-
-    def _has(self, word: int) -> bool:
-        return bool((self._table[word >> 3] >> (word & 7)) & 1)
+        word = np.uint32(word)  # a query of another dtype would copy the array
+        i = self._arr.searchsorted(word)
+        return bool(i < self._arr.size and self._arr[i] == word)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Family):
@@ -182,15 +165,15 @@ class Family:
         return f"Family(n={self.n}, size={self._arr.size})"
 
     def table_bits(self) -> np.ndarray:
-        """The membership table unpacked to one uint8 flag per word."""
-        return np.unpackbits(self._table, bitorder="little", count=1 << self.n)
+        """A fresh membership vector: one uint8 flag per word, 1 for members."""
+        bits = np.zeros(1 << self.n, dtype=np.uint8)
+        bits[self._arr] = 1
+        return bits
 
 
 def parity_census(family: Family) -> tuple[int, int]:
     """(even member count, odd member count)."""
-    if not family._arr.size:
-        return (0, 0)
-    odd = int(_vector_parity(family._arr).sum())
+    odd = int((np.bitwise_count(family._arr) & 1).sum())
     return (family._arr.size - odd, odd)
 
 
@@ -222,7 +205,9 @@ def xor_pair_counts(family: Family) -> np.ndarray:
     transform fits int32; the second wraps modulo 2^64 but its true result
     2^n * counts[w] <= 2^48 fits int64 (see the module docstring).
     """
-    spectrum = _walsh(family.table_bits().astype(np.int32))
+    indicator = np.zeros(1 << family.n, dtype=np.int32)
+    indicator[family._arr] = 1
+    spectrum = _walsh(indicator)
     counts = _walsh(np.square(spectrum, dtype=np.int64))
     counts >>= family.n
     return counts
@@ -231,8 +216,11 @@ def xor_pair_counts(family: Family) -> np.ndarray:
 def _scan_is_cheaper(family: Family, limit: int = _SMALL_SCAN_LIMIT) -> bool:
     """Whether a pair scan beats the Walsh path: up to ``limit`` members, and
     while its m^2 / 2 interpreted steps stay under the transform's n * 2^n
-    vector steps, which holds for m^2 <= 2^(n-2) (measured for n = 10..24
-    on a 2-vCPU x86_64 box with numpy 2.4)."""
+    vector steps, which holds for m^2 <= 2^(n-2).  The rule is safe, not
+    tight: a full set-lookup scan of a delta-free family stays cheaper than
+    the pairwise witness's transform up to about m = 64 at n = 10, 190 at
+    n = 14, 770 at n = 18, 3,200 at n = 22 and 7,300 at n = 24 (2-vCPU
+    x86_64, numpy 2.4)."""
     m = family._arr.size
     return m <= limit or (m * m) << 2 <= 1 << family.n
 
@@ -251,9 +239,10 @@ def _first_member_pair(family: Family, present: bool) -> tuple[int, int] | None:
     m = family._arr
     if _scan_is_cheaper(family):
         members = m.tolist()
+        pool = set(members)
         for i, a in enumerate(members):
             for b in members[i:]:
-                if family._has(a ^ b) == present:
+                if (a ^ b in pool) == present:
                     return (a, b)
         return None
     counts = xor_pair_counts(family)[m]

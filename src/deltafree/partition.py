@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .construction import Generator
-from .core import Family, _vector_parity, full_word, validate_word
+from .core import Family, full_word, validate_word
 
 #: Class names by index: (cardinality parity, trace parity).
 CLASS_NAMES = ("even_even", "even_odd", "odd_even", "odd_odd")
@@ -22,7 +22,7 @@ def partition_family(family: Family, t: int) -> tuple[Family, Family, Family, Fa
     """The family's four parity classes against t, by class index."""
     validate_word(t, family.n)
     words = family._arr
-    index = _vector_parity(words) << 1 | _vector_parity(words & np.uint32(t))
+    index = (np.bitwise_count(words) & 1) << 1 | (np.bitwise_count(words & np.uint32(t)) & 1)
     return tuple(Family(family.n, words[index == c]) for c in range(4))
 
 

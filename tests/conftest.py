@@ -1,9 +1,10 @@
 """Shared helpers: naive re-implementations used as independent oracles,
 family builders, and hypothesis strategies.
 
-The naive checkers deliberately avoid Family's membership table and the
-transform-based fast paths; they are the second route every fast result
-is compared against.  The I/O oracles write and parse one set at a time
+The naive checkers deliberately avoid Family's binary-search membership,
+its scattered membership vector and the transform-based fast paths; they
+work on Python sets of the members and are the second route every fast
+result is compared against.  The I/O oracles write and parse one set at a time
 and print CLI JSON through ``json.dumps``; the table writers, bulk readers
 and CLI printer must match them byte for byte and error for error.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import operator
+import random
 import re
 
 import hypothesis.strategies as st
@@ -201,6 +203,43 @@ def verify_completeness(report: df.EnumerationReport) -> bool:
     return report.total == (1 << report.n) - 1 and all(
         df.recognize_generator(f) is not None for f in report.families
     )
+
+
+def solve_gf2(cols, rhs, n):
+    """The word t with parity(cols[i] & t) = bit i of rhs for every i, that
+    is M^T t = rhs for the matrix M with columns ``cols``; None if M is
+    singular."""
+    eqs = [[c, rhs >> i & 1] for i, c in enumerate(cols)]
+    for bit in range(n):
+        pivot = next((i for i in range(bit, n) if eqs[i][0] >> bit & 1), None)
+        if pivot is None:
+            return None
+        eqs[bit], eqs[pivot] = eqs[pivot], eqs[bit]
+        for i in range(n):
+            if i != bit and eqs[i][0] >> bit & 1:
+                eqs[i][0] ^= eqs[bit][0]
+                eqs[i][1] ^= eqs[bit][1]
+    return sum(b << i for i, (_, b) in enumerate(eqs))
+
+
+def random_gl(rng: random.Random, n: int) -> list[int]:
+    """The columns of a uniformly random invertible n x n matrix over GF(2)."""
+    while True:
+        cols = [rng.getrandbits(n) for _ in range(n)]
+        if solve_gf2(cols, 0, n) is not None:
+            return cols
+
+
+def apply_gf2(cols, words):
+    """M w for every word, M given by its columns, one 256-entry table per byte."""
+    out = np.zeros_like(words)
+    byte = np.arange(256, dtype=np.uint32)
+    for k in range(0, len(cols), 8):
+        table = np.zeros(256, dtype=np.uint32)
+        for i, c in enumerate(cols[k : k + 8]):
+            table ^= (byte >> i & 1) * np.uint32(c)
+        out ^= table[words >> k & 0xFF]
+    return out
 
 
 @st.composite

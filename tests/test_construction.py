@@ -11,11 +11,13 @@ from hypothesis import given
 import deltafree as df
 from conftest import (
     all_odd_family,
+    apply_gf2,
     complement_family,
     fam,
     generator_strategy,
     naive_generate,
     parity_rule_family,
+    solve_gf2,
 )
 from deltafree import construction
 
@@ -26,35 +28,6 @@ N4_CATALOG = fam(
 
 def all_generators(n):
     return [df.Generator(n, sc) for sc in range((1 << n) - 1)]
-
-
-def solve_gf2(cols, rhs, n):
-    """The word t with parity(cols[i] & t) = bit i of rhs for every i, that
-    is M^T t = rhs for the matrix M with columns ``cols``; None if M is
-    singular."""
-    eqs = [[c, rhs >> i & 1] for i, c in enumerate(cols)]
-    for bit in range(n):
-        pivot = next((i for i in range(bit, n) if eqs[i][0] >> bit & 1), None)
-        if pivot is None:
-            return None
-        eqs[bit], eqs[pivot] = eqs[pivot], eqs[bit]
-        for i in range(n):
-            if i != bit and eqs[i][0] >> bit & 1:
-                eqs[i][0] ^= eqs[bit][0]
-                eqs[i][1] ^= eqs[bit][1]
-    return sum(b << i for i, (_, b) in enumerate(eqs))
-
-
-def apply_gf2(cols, words):
-    """M w for every word, M given by its columns, one 256-entry table per byte."""
-    out = np.zeros_like(words)
-    byte = np.arange(256, dtype=np.uint32)
-    for k in range(0, len(cols), 8):
-        table = np.zeros(256, dtype=np.uint32)
-        for i, c in enumerate(cols[k : k + 8]):
-            table ^= (byte >> i & 1) * np.uint32(c)
-        out ^= table[words >> k & 0xFF]
-    return out
 
 
 class TestGenerator:

@@ -6,16 +6,18 @@ import itertools
 from math import isqrt
 import operator
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import deltafree as df
 from deltafree.core import _first_pair_collision, _quadruple_from_counts, _scan_is_cheaper
 from conftest import (
     all_odd_family,
+    apply_gf2,
     complement_family,
     fam,
     family_strategy,
@@ -27,6 +29,7 @@ from conftest import (
     naive_quadruple_free,
     naive_union_collision,
     naive_union_free,
+    random_gl,
 )
 
 
@@ -154,6 +157,18 @@ class TestFamily:
         for w in range(1 << f.n):
             assert (w in f) == (w in member_set)
 
+    def test_contains_at_n24(self):
+        s = df.word_of([2, 5, 11, 17, 20, 23], 24)  # even |s|: the full word is absent
+        f = df.generate_family(df.Generator(24, df.full_word(24) ^ s))
+        first, last = int(f._arr[0]), int(f._arr[-1])
+        queries = [1 << i for i in range(24)] + [first, last, 0, df.full_word(24), last + 1]
+        assert last + 1 <= df.full_word(24)
+        for w in queries:
+            want = bin(w & s).count("1") % 2 == 1
+            for query in (w, np.uint32(w), np.int64(w)):
+                assert (query in f) is want
+        assert first in f and last in f and last + 1 not in f
+
     def test_out_of_ground_words_rejected(self):
         with pytest.raises(ValueError):
             df.Family(2, [4])
@@ -178,6 +193,31 @@ class TestFamily:
     def test_parity_census(self):
         assert df.parity_census(fam(3, (1,), (1, 2), (1, 3), (1, 2, 3))) == (2, 2)
         assert df.parity_census(df.Family(3)) == (0, 0)
+
+
+def _traced_peak(build):
+    """(result, peak bytes tracemalloc saw while ``build()`` ran)."""
+    tracemalloc.start()
+    try:
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBuildMemory:
+    """A family holds its words once and builds nothing per possible word."""
+
+    def test_family_build_peak(self):
+        words = np.arange(1 << 21, dtype=np.uint32) * np.uint32(2) + np.uint32(1)
+        f, peak = _traced_peak(lambda: df.Family(22, words))
+        assert len(f) == 1 << 21
+        assert peak <= 1.25 * words.nbytes
+
+    def test_generate_family_peak(self):
+        f, peak = _traced_peak(lambda: df.generate_family(df.Generator(22, 5)))
+        assert len(f) == 1 << 21
+        assert peak <= 2.25 * f._arr.nbytes
 
 
 class TestDeltaFree:
@@ -592,6 +632,94 @@ class TestWideGroundTransform:
         evens = df.Family(21, x ^ (x << 1))
         assert df.parity_census(evens) == (1 << 20, 0)
         assert df.is_delta_closed(evens)
+
+
+def _gl_sample(n: int, seed: int, size: int, kind: str) -> tuple[df.Family, list[int]]:
+    """A family of about ``size`` words and a random invertible M (its
+    columns).  ``odd``: words of one A(s), so delta-free, plus a spoiler
+    word half the time; ``span``: a random subspace, so closed, plus a
+    spoiler half the time; ``any``: words drawn from the whole ground."""
+    rng = random.Random(seed)
+    if kind == "odd":
+        s = rng.randrange(1, 1 << n)
+        pool = df.generate_family(df.Generator(n, df.full_word(n) ^ s)).members
+        words = rng.sample(pool, min(size, len(pool)))
+    elif kind == "span":
+        words = {0}
+        for _ in range(min(size.bit_length() - 1, n)):
+            v = rng.randrange(1 << n)
+            words |= {w ^ v for w in words}
+        words = list(words)
+    else:
+        words = rng.sample(range(1 << n), size)
+    if kind != "any" and rng.random() < 0.5:
+        words.append(rng.randrange(1 << n))
+    return df.Family(n, words), random_gl(rng, n)
+
+
+def _gl_check(f: df.Family, cols: list[int]) -> None:
+    """The pairwise, closed and quadruple predicates agree on F and M F,
+    pair counts move with M, and each witness, and its image under M, is a
+    valid violation in its family."""
+
+    def image(*words):
+        return [int(w) for w in apply_gf2(cols, np.array(words, dtype=np.uint32))]
+
+    def valid_pair(g, a, b, present):
+        return a <= b and a in g and b in g and (a ^ b in g) == present
+
+    def valid_quadruple(g, a, b, c, d):
+        return (a < b and c < d and (a, b) != (c, d) and a ^ b == c ^ d
+                and all(w in g for w in (a, b, c, d)))
+
+    moved = df.Family(f.n, image(*f.members))
+    assert len(moved) == len(f)
+    for pred in (df.is_delta_free, df.is_delta_closed, df.is_quadruple_delta_free):
+        assert pred(moved) == pred(f)
+    for find, present in ((df.find_delta_violation, True), (df.find_closure_violation, False)):
+        wf, wm = find(f), find(moved)
+        assert (wf is None) == (wm is None)
+        if wf is not None:
+            assert valid_pair(f, *wf, present) and valid_pair(moved, *wm, present)
+            assert valid_pair(moved, *sorted(image(*wf)), present)
+    wf, wm = df.find_quadruple_collision(f), df.find_quadruple_collision(moved)
+    assert (wf is None) == (wm is None)
+    if wf is not None:
+        assert valid_quadruple(f, *wf) and valid_quadruple(moved, *wm)
+        a, b, c, d = image(*wf)
+        assert valid_quadruple(moved, *sorted((a, b)), *sorted((c, d)))
+    every = apply_gf2(cols, np.arange(1 << f.n, dtype=np.uint32))
+    assert np.array_equal(df.xor_pair_counts(moved)[every], df.xor_pair_counts(f))
+
+
+class TestGLInvariance:
+    """Metamorphic checks under GL(n, 2), which maps delta-free, closed and
+    quadruple-free families to families of the same kind; the examples put
+    each checker on both sides of the scan cutoff."""
+
+    @given(
+        n=st.integers(min_value=2, max_value=10),
+        seed=st.integers(min_value=0, max_value=2**32),
+        size=st.integers(min_value=0, max_value=1 << 9),
+        kind=st.sampled_from(["odd", "span", "any"]),
+    )
+    @example(n=10, seed=1, size=20, kind="odd")
+    @example(n=10, seed=1, size=300, kind="odd")
+    @example(n=10, seed=7, size=300, kind="odd")
+    @example(n=10, seed=2, size=16, kind="span")
+    @example(n=10, seed=2, size=128, kind="span")
+    @example(n=10, seed=3, size=128, kind="span")
+    @example(n=10, seed=3, size=40, kind="any")
+    @example(n=10, seed=3, size=200, kind="any")
+    def test_invariant_under_random_invertible_map(self, n, seed, size, kind):
+        f, cols = _gl_sample(n, seed, min(size, 1 << (n - 1)), kind)
+        _gl_check(f, cols)
+
+    def test_n21_past_the_cutoff(self):
+        f, cols = _gl_sample(21, 23, 1000, "odd")
+        assert not _scan_is_cheaper(f) and not _scan_is_cheaper(f, 256)
+        assert not df.is_delta_free(f)  # the spoiler gives witnesses to map
+        _gl_check(f, cols)
 
 
 class TestAllOddFamily:
