@@ -21,7 +21,6 @@ from .core import (
     is_delta_free,
     is_quadruple_delta_free,
     is_union_free,
-    parity_census,
     validate_ground,
     validate_word,
     word_of,
@@ -91,7 +90,6 @@ __all__ = [
     "is_maximum_family",
     "is_quadruple_delta_free",
     "is_union_free",
-    "parity_census",
     "parse_element_set",
     "partition_family",
     "random_family",

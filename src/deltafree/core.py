@@ -24,13 +24,17 @@ vector that gives the witness's first member and then its partner.  Each
 first settles the empty set: a member, for pairwise, gives (0, 0), and an
 absent one, for closure, gives (m0, m0) with m0 the least member.  The
 quadruple witness keeps its pair scan while ``_scan_is_cheaper(F, 32)``
-holds and past it reads the first repeated difference off the pair counts;
-the union witness is a pair scan, which stops early only on a free family.
+holds and past it reads the first repeated difference off the pair counts.
+Below their cutoffs the quadruple and union checks run one incremental scan,
+``_first_repeat``, which the survival sweep also runs in draw order; it
+settles a free family, and the union witness scans every pair only when
+that scan finds a repeat.
 """
 
 from __future__ import annotations
 
 import operator
+from itertools import repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -171,12 +175,6 @@ class Family:
         return bits
 
 
-def parity_census(family: Family) -> tuple[int, int]:
-    """(even member count, odd member count)."""
-    odd = int((np.bitwise_count(family._arr) & 1).sum())
-    return (family._arr.size - odd, odd)
-
-
 def _walsh(vec: np.ndarray) -> np.ndarray:
     """Walsh transform over the xor group, in place; returns ``vec``.
 
@@ -289,11 +287,11 @@ def _first_pair_collision(
     """First (A, B, C, D), pairs scanned in canonical order, with
     combine(A, B) == combine(C, D), {A, B} != {C, D}, A < B, C < D.
 
-    An early-exit scan settles a free family; otherwise every pair is
+    ``_first_repeat`` settles a free family; otherwise every pair is
     scanned, since the first pair to collide may collide only later."""
-    if not _pairs_collide(family, combine):
-        return None
     members = family._arr.tolist()
+    if _first_repeat(members, combine) is None:
+        return None
     seen: dict[int, tuple[int, int]] = {}
     collisions: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
     for i, a in enumerate(members):
@@ -310,18 +308,22 @@ def _first_pair_collision(
     return (a, b, c, d)
 
 
-def _pairs_collide(family: Family, combine) -> bool:
-    """Whether two distinct member pairs share combine(A, B); stops at the
-    first repeat."""
-    members = family._arr.tolist()
+def _first_repeat(words: Iterable[int], combine) -> int | None:
+    """The first of the distinct ``words``, in the order given, whose pairs
+    with the words before it repeat a ``combine`` value: one an earlier pair
+    has, or one two of its own pairs share; None if no word does.
+
+    Every prefix before that word has distinct pair values, so the word's
+    pairs are checked by how much they grow the set of values seen."""
+    prefix: list[int] = []
     seen: set[int] = set()
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            key = combine(a, b)
-            if key in seen:
-                return True
-            seen.add(key)
-    return False
+    for x in words:
+        size = len(seen)
+        seen.update(map(combine, repeat(x), prefix))
+        if len(seen) - size < len(prefix):
+            return x
+        prefix.append(x)
+    return None
 
 
 def _pairs_outnumber_images(family: Family) -> bool:
@@ -342,7 +344,7 @@ def is_quadruple_delta_free(family: Family) -> bool:
     if not _scan_is_cheaper(family, 256):
         counts = xor_pair_counts(family)
         return bool((counts[1:] <= 2).all())
-    return not _pairs_collide(family, operator.xor)
+    return _first_repeat(family._arr.tolist(), operator.xor) is None
 
 
 def find_quadruple_collision(family: Family) -> tuple[int, int, int, int] | None:
@@ -391,7 +393,7 @@ def is_union_free(family: Family) -> bool:
     conventions as the quadruple difference check)."""
     if _pairs_outnumber_images(family):
         return False
-    return not _pairs_collide(family, operator.or_)
+    return _first_repeat(family._arr.tolist(), operator.or_) is None
 
 
 def find_union_collision(family: Family) -> tuple[int, int, int, int] | None:

@@ -17,8 +17,10 @@ freeness, or 2^64 if the whole power set is free.  The trial survives at p
 iff ``_threshold(p) <= death``.  Draws are distinct (the mixer is a
 bijection), so this gives exactly the counts of sampling and checking the
 family at every grid point, and the curve is exactly monotone.  The sweep
-builds no ``Family`` and calls no predicate; ``random_family`` and the
-predicates are the route tests compare it against.
+builds no ``Family``: ``DEFINITIONS`` maps each definition to its
+first-break scan, and the scans for quadruple and union freeness are the
+one ``core._first_repeat`` that their predicates run too.  The tests
+compare the sweep against ``random_family`` and independent checkers.
 
 Trials run in blocks, so numpy's fixed cost per call is paid once per block
 rather than once per trial.  A block is one 2-D array of draws, one row per
@@ -34,14 +36,16 @@ outlives that head.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
+from functools import partial
+from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .core import Family, is_delta_free, is_quadruple_delta_free, is_union_free, validate_ground
+from .core import Family, _first_repeat, validate_ground
 
 _MASK64 = (1 << 64) - 1
 # Draws per block of trials: below n = 16 a block holds 2^16 / 2^n trials.
@@ -51,13 +55,6 @@ _BLOCK_WORDS = 1 << 16
 _ORDER_CHUNK = 256
 # Words in the sorted head of a one-trial block, on average.
 _HEAD_WORDS = 4096
-
-# No "closed": the coupled sweep needs properties every subfamily keeps; closedness is not one.
-DEFINITIONS: dict[str, Callable[[Family], bool]] = {
-    "pairwise": is_delta_free,
-    "quadruple": is_quadruple_delta_free,
-    "union": is_union_free,
-}
 
 
 def _mix(x: int) -> int:
@@ -209,12 +206,6 @@ def random_family(n: int, p: float, seed: int, trial_index: int) -> Family:
     return Family(n, np.flatnonzero(_draws(n, seed, trial_index) < np.uint64(cutoff)))
 
 
-# Each scan takes words in increasing draw order (every prefix is the
-# sampled family at some p) and returns the first word whose addition to
-# the prefix before it breaks freeness, or None if the whole power set is
-# free.  A prefix that is still free only needs the new pairs checked.
-
-
 def _first_break_pairwise(words: Iterable[int]) -> int | None:
     """x breaks a free prefix iff x = 0 (x ^ x = 0 is then a member) or x is
     the xor of two prefix words (x ^ a = b puts x on a line with a and b)."""
@@ -223,43 +214,20 @@ def _first_break_pairwise(words: Iterable[int]) -> int | None:
     for x in words:
         if x == 0 or x in sums:
             return x
-        sums.update([x ^ a for a in prefix])
+        sums.update(map(operator.xor, repeat(x), prefix))
         prefix.append(x)
     return None
 
 
-def _first_break_quadruple(words: Iterable[int]) -> int | None:
-    """x breaks a free prefix iff some x ^ a is a prefix pair's difference;
-    the new differences x ^ a are distinct among themselves."""
-    prefix: list[int] = []
-    diffs: set[int] = set()
-    for x in words:
-        new = [x ^ a for a in prefix]
-        if not diffs.isdisjoint(new):
-            return x
-        diffs.update(new)
-        prefix.append(x)
-    return None
-
-
-def _first_break_union(words: Iterable[int]) -> int | None:
-    """x breaks a free prefix iff some x | a is a prefix pair's union, or two
-    of the new unions x | a, x | b coincide."""
-    prefix: list[int] = []
-    unions: set[int] = set()
-    for x in words:
-        new = {x | a for a in prefix}
-        if len(new) < len(prefix) or not unions.isdisjoint(new):
-            return x
-        unions.update(new)
-        prefix.append(x)
-    return None
-
-
-_FIRST_BREAK: dict[str, Callable[[Iterable[int]], int | None]] = {
+# Each definition by name, to its scan: it takes words in increasing draw
+# order (every prefix is the sampled family at some p) and returns the first
+# word whose addition to the prefix before it breaks freeness, or None if the
+# whole power set is free.  No "closed": the coupled sweep needs properties
+# every subfamily keeps; closedness is not one.
+DEFINITIONS: dict[str, Callable[[Iterable[int]], int | None]] = {
     "pairwise": _first_break_pairwise,
-    "quadruple": _first_break_quadruple,
-    "union": _first_break_union,
+    "quadruple": partial(_first_repeat, combine=operator.xor),
+    "union": partial(_first_repeat, combine=operator.or_),
 }
 
 
@@ -327,7 +295,7 @@ def estimate_survival(cfg: ExperimentConfig) -> SurvivalCurve:
     The trial's family at p is the set of words drawn below ``_threshold(p)``,
     so it is free iff ``_threshold(p) <= death``.
     """
-    first_break = _FIRST_BREAK[cfg.definition]
+    first_break = DEFINITIONS[cfg.definition]
     per_block = max(1, _BLOCK_WORDS >> cfg.n)
     deaths = []
     for start in range(0, cfg.trials, per_block):

@@ -150,10 +150,19 @@ def naive_maximum_families(n: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+# Each survival definition by name, to a predicate that shares no code with
+# the sweep's first-break scans.
+PREDICATES = {
+    "pairwise": df.is_delta_free,
+    "quadruple": lambda f: naive_quadruple_free(f.members),
+    "union": lambda f: naive_union_free(f.members),
+}
+
+
 def naive_survival(cfg: df.ExperimentConfig) -> df.SurvivalCurve:
     """The sweep point by point: every (trial, p) family sampled afresh with
-    random_family and judged by the definition's predicate."""
-    checker = df.DEFINITIONS[cfg.definition]
+    random_family and judged by the definition's predicate in PREDICATES."""
+    checker = PREDICATES[cfg.definition]
     points = []
     for p in cfg.p_grid:
         won = sum(
@@ -185,6 +194,12 @@ def parity_rule_family(n: int, sc: int) -> df.Family:
     card = np.bitwise_count(words) & 1
     trace = np.bitwise_count(words & np.uint32(sc)) & 1
     return df.Family(n, words[card != trace])
+
+
+def parity_census(family: df.Family) -> tuple[int, int]:
+    """(even member count, odd member count)."""
+    odd = int((np.bitwise_count(family._arr) & 1).sum())
+    return (len(family) - odd, odd)
 
 
 def all_odd_family(n: int) -> df.Family:

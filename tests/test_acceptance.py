@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 import deltafree as df
-from conftest import complement_family, verify_completeness
+from conftest import complement_family, parity_census, verify_completeness
 from deltafree.cli import main as cli_main
 
 GRID21 = tuple(i / 20 for i in range(21))
@@ -98,7 +98,7 @@ def test_criterion_4_half_and_half_split():
         for g in all_generators(n):
             if g.sc == 0:
                 continue
-            even, odd = df.parity_census(df.generate_family(g))
+            even, odd = parity_census(df.generate_family(g))
             assert even == odd == 1 << (n - 2)
     _announce(4, "every generated family with nonempty sc splits 2^(n-2)/2^(n-2), n<=8")
 

@@ -16,6 +16,7 @@ from conftest import (
     fam,
     generator_strategy,
     naive_generate,
+    parity_census,
     parity_rule_family,
     solve_gf2,
 )
@@ -86,7 +87,7 @@ class TestGenerateFamily:
     def test_parity_split(self):
         for n in range(2, 9):
             for g in all_generators(n):
-                even, odd = df.parity_census(df.generate_family(g))
+                even, odd = parity_census(df.generate_family(g))
                 if g.sc == 0:
                     assert (even, odd) == (0, 1 << (n - 1))
                 else:

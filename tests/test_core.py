@@ -14,7 +14,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import deltafree as df
-from deltafree.core import _first_pair_collision, _quadruple_from_counts, _scan_is_cheaper
+from deltafree.core import (
+    _first_pair_collision,
+    _first_repeat,
+    _quadruple_from_counts,
+    _scan_is_cheaper,
+)
 from conftest import (
     all_odd_family,
     apply_gf2,
@@ -29,6 +34,7 @@ from conftest import (
     naive_quadruple_free,
     naive_union_collision,
     naive_union_free,
+    parity_census,
     random_gl,
 )
 
@@ -45,7 +51,7 @@ class TestExports:
         "find_quadruple_collision", "find_union_collision", "format_element_set",
         "full_word", "generate_family", "is_delta_closed", "is_delta_free",
         "is_maximum_family", "is_quadruple_delta_free", "is_union_free",
-        "parity_census", "parse_element_set", "partition_family", "random_family",
+        "parse_element_set", "partition_family", "random_family",
         "recognize_generator", "validate_ground", "validate_word", "word_of",
         "xor_pair_counts",
     )
@@ -191,8 +197,8 @@ class TestFamily:
         assert complement_family(f).members == (1, 2)
 
     def test_parity_census(self):
-        assert df.parity_census(fam(3, (1,), (1, 2), (1, 3), (1, 2, 3))) == (2, 2)
-        assert df.parity_census(df.Family(3)) == (0, 0)
+        assert parity_census(fam(3, (1,), (1, 2), (1, 3), (1, 2, 3))) == (2, 2)
+        assert parity_census(df.Family(3)) == (0, 0)
 
 
 def _traced_peak(build):
@@ -555,6 +561,41 @@ class TestUnionFree:
             assert df.is_union_free(f) == naive_union_free(words)
 
 
+_NAIVE_FREE = {operator.xor: naive_quadruple_free, operator.or_: naive_union_free}
+
+
+@st.composite
+def _distinct_words(draw):
+    """Distinct words at n <= 8, in an order hypothesis chooses."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    word = st.integers(min_value=0, max_value=(1 << n) - 1)
+    return draw(st.lists(word, unique=True, max_size=40))
+
+
+class TestFirstRepeat:
+    """The scan behind both small-m pair predicates and the survival sweep
+    takes words in any order and stops at the first prefix that is not free."""
+
+    @pytest.mark.parametrize("combine", [operator.xor, operator.or_])
+    @given(words=_distinct_words())
+    def test_first_prefix_that_is_not_free(self, combine, words):
+        naive_free = _NAIVE_FREE[combine]
+        expected = next(
+            (x for k, x in enumerate(words) if not naive_free(words[: k + 1])), None
+        )
+        assert _first_repeat(words, combine) == expected
+
+    @pytest.mark.parametrize("combine", [operator.xor, operator.or_])
+    @pytest.mark.parametrize("words", [[], [5], [0, 1]])
+    def test_fewer_than_two_pairs_never_repeat(self, combine, words):
+        assert _first_repeat(words, combine) is None
+
+    def test_union_break_among_the_new_pairs_only(self):
+        # 3 | 4 = 3 | 5 = 7, while the earlier pair's union is 4 | 5 = 5
+        assert _first_repeat([4, 5, 3], operator.or_) == 3
+        assert _first_repeat([4, 5, 3], operator.xor) is None
+
+
 def _greedy_pair_free_words(rng: random.Random, n: int, m: int, combine) -> list[int]:
     """m random weight-5 words over {1..n} whose distinct pairs all have
     distinct images under ``combine``, drawn greedily."""
@@ -630,7 +671,7 @@ class TestWideGroundTransform:
         # the even-cardinality words of [21]
         x = np.arange(1 << 20, dtype=np.uint32)
         evens = df.Family(21, x ^ (x << 1))
-        assert df.parity_census(evens) == (1 << 20, 0)
+        assert parity_census(evens) == (1 << 20, 0)
         assert df.is_delta_closed(evens)
 
 

@@ -21,6 +21,7 @@ from conftest import (
     naive_canonical_form,
     naive_delta_free,
     naive_maximum_families,
+    parity_census,
     verify_completeness,
 )
 from deltafree import enumeration
@@ -66,7 +67,7 @@ class TestEnumerate:
     def test_even_odd_split_when_even_member_present(self):
         for n in (2, 3, 4, 5):
             for f in df.enumerate_maximum_families(n).families:
-                even, odd = df.parity_census(f)
+                even, odd = parity_census(f)
                 if even:
                     assert even == odd == 1 << (n - 2)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from conftest import naive_survival
+from conftest import PREDICATES, naive_survival
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import numpy as np
@@ -17,7 +17,6 @@ import numpy as np
 import deltafree as df
 from deltafree.experiments import (
     _BLOCK_WORDS,
-    _FIRST_BREAK,
     _HEAD_WORDS,
     _block_deaths,
     _block_draws,
@@ -215,7 +214,7 @@ class TestEstimateSurvival:
 
 
 def _full_sort_death(definition: str, draws: np.ndarray) -> int:
-    x = _FIRST_BREAK[definition](np.argsort(draws).tolist())
+    x = df.DEFINITIONS[definition](np.argsort(draws).tolist())
     return 1 << 64 if x is None else int(draws[x])
 
 
@@ -246,7 +245,7 @@ class TestSortedHead:
     def test_head_matches_full_sort(self, n, definition):
         for trial in range(3):
             draws = _draws(n, 41, trial)
-            assert _trial_death(_FIRST_BREAK[definition], draws) == _full_sort_death(
+            assert _trial_death(df.DEFINITIONS[definition], draws) == _full_sort_death(
                 definition, draws
             )
 
@@ -258,7 +257,7 @@ class TestSortedHead:
         head = _odd_words(n, 64, 5)
         draws = _planted_draws(n, head, cutoff, 5)
         assert np.flatnonzero(draws < np.uint64(cutoff)).tolist() == sorted(head.tolist())
-        death = _trial_death(_FIRST_BREAK["pairwise"], draws)
+        death = _trial_death(df.DEFINITIONS["pairwise"], draws)
         assert death == _full_sort_death("pairwise", draws)
         assert cutoff < death < 1 << 64
 
@@ -271,7 +270,7 @@ class TestSortedHead:
         low = np.random.default_rng(6).permutation(np.arange(1, 512, 2))[:255]
         first = np.append(low, [1 | 1 << 12, low[0] ^ (1 | 1 << 12)])
         block = np.stack([_planted_draws(n, first, cutoff, 6), _draws(n, 6, 1)])
-        deaths = _block_deaths(_FIRST_BREAK["pairwise"], block)
+        deaths = _block_deaths(df.DEFINITIONS["pairwise"], block)
         assert deaths == [_full_sort_death("pairwise", row) for row in block]
         assert deaths[0] == int(block[0, first[-1]])
 
@@ -283,10 +282,10 @@ PINNED_ESTIMATES = [1.0, 0.12, 0.0]
 
 def _free_counts(n: int, definition: str) -> list[int]:
     """c_k, the number of free subfamilies of size k, by brute force over all
-    2^(2^n) subfamilies through the library predicate."""
+    2^(2^n) subfamilies through the definition's predicate in PREDICATES."""
     size = 1 << n
     counts = [0] * (size + 1)
-    checker = df.DEFINITIONS[definition]
+    checker = PREDICATES[definition]
     for mask in range(1 << size):
         family = df.Family(n, [w for w in range(size) if mask >> w & 1])
         if checker(family):
