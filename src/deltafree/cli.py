@@ -29,14 +29,15 @@ from .partition import CLASS_NAMES, partition_family
 from .serialization import (
     INLINE_JSON_STYLE,
     LINES_STYLE,
+    _framing,
     family_from_json,
     family_from_lines,
-    family_to_json,
-    family_to_lines,
     format_element_set,
     parse_element_set,
-    render_sets,
+    render_text,
 )
+
+_EMIT_SLICE = 1 << 17  # words per write of ``generate``
 
 
 class CliError(Exception):
@@ -49,20 +50,18 @@ def _json_text(value: object, pad: str = "") -> str:
     sets, each on one line."""
     inner = pad + "  "
     if isinstance(value, Family):
-        items = render_sets(value._arr.tolist(), INLINE_JSON_STYLE)
-    elif isinstance(value, dict):
+        text = render_text(value._arr, INLINE_JSON_STYLE, ",\n" + inner, "[\n" + inner, "\n" + pad + "]")
+        return text if value._arr.size else "[]"
+    if isinstance(value, dict):
         if not value:
             return "{}"
         items = [f"{json.dumps(key)}: {_json_text(v, inner)}" for key, v in value.items()]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    elif isinstance(value, list):
-        if all(type(v) is int for v in value):
-            return "[" + ", ".join(map(str, value)) + "]"
-        items = [_json_text(v, inner) for v in value]
-    else:
+    if not isinstance(value, list):
         return json.dumps(value)
-    if not items:
-        return "[]"
+    if all(type(v) is int for v in value):  # the empty list too
+        return "[" + ", ".join(map(str, value)) + "]"
+    items = [_json_text(v, inner) for v in value]
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
 
 
@@ -82,17 +81,17 @@ def _load_family(path: str, n: int | None) -> Family:
         raise CliError(f"{path}: {exc}") from None
 
 
-def _emit_family(family: Family, fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(family_to_json(family))
-    else:
-        sys.stdout.write(family_to_lines(family))
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
-    sc = parse_element_set(args.sc, args.n)
-    gen = Generator(args.n, sc)
-    _emit_family(generate_family(gen), args.format)
+    """Print the family as ``family_to_lines`` / ``family_to_json`` would,
+    but a slice of words at a time, so its whole text is never held."""
+    family = generate_family(Generator(args.n, parse_element_set(args.sc, args.n)))
+    style, between, head, tail = _framing(family, args.format)
+    words = family._arr
+    for start in range(0, max(words.size, 1), _EMIT_SLICE):
+        stop = start + _EMIT_SLICE
+        end = tail if stop >= words.size else ""
+        sys.stdout.write(render_text(words[start:stop], style, between, head, end))
+        head = between
     return 0
 
 
@@ -104,7 +103,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(f"FREE{tag}")
         return 0
     print(f"NOT-FREE{tag}")
-    print("\n".join(["witness:", *render_sets(witness, LINES_STYLE)]))
+    print(render_text(witness, LINES_STYLE, "\n", "witness:\n"))
     return 1
 
 

@@ -290,7 +290,7 @@ def _first_pair_collision(
     ``_first_repeat`` settles a free family; otherwise every pair is
     scanned, since the first pair to collide may collide only later."""
     members = family._arr.tolist()
-    if _first_repeat(members, combine) is None:
+    if _first_repeat(combine, members) is None:
         return None
     seen: dict[int, tuple[int, int]] = {}
     collisions: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
@@ -308,7 +308,7 @@ def _first_pair_collision(
     return (a, b, c, d)
 
 
-def _first_repeat(words: Iterable[int], combine) -> int | None:
+def _first_repeat(combine, words: Iterable[int]) -> int | None:
     """The first of the distinct ``words``, in the order given, whose pairs
     with the words before it repeat a ``combine`` value: one an earlier pair
     has, or one two of its own pairs share; None if no word does.
@@ -344,7 +344,7 @@ def is_quadruple_delta_free(family: Family) -> bool:
     if not _scan_is_cheaper(family, 256):
         counts = xor_pair_counts(family)
         return bool((counts[1:] <= 2).all())
-    return _first_repeat(family._arr.tolist(), operator.xor) is None
+    return _first_repeat(operator.xor, family._arr.tolist()) is None
 
 
 def find_quadruple_collision(family: Family) -> tuple[int, int, int, int] | None:
@@ -393,7 +393,7 @@ def is_union_free(family: Family) -> bool:
     conventions as the quadruple difference check)."""
     if _pairs_outnumber_images(family):
         return False
-    return _first_repeat(family._arr.tolist(), operator.or_) is None
+    return _first_repeat(operator.or_, family._arr.tolist()) is None
 
 
 def find_union_collision(family: Family) -> tuple[int, int, int, int] | None:

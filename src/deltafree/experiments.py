@@ -226,8 +226,8 @@ def _first_break_pairwise(words: Iterable[int]) -> int | None:
 # every subfamily keeps; closedness is not one.
 DEFINITIONS: dict[str, Callable[[Iterable[int]], int | None]] = {
     "pairwise": _first_break_pairwise,
-    "quadruple": partial(_first_repeat, combine=operator.xor),
-    "union": partial(_first_repeat, combine=operator.or_),
+    "quadruple": partial(_first_repeat, operator.xor),
+    "union": partial(_first_repeat, operator.or_),
 }
 
 

@@ -8,19 +8,19 @@ inferred as the largest element present.  ``json``: a document
 ground size exactly.  Sets are always emitted in canonical family order
 (ascending word value).
 
-Writers render each word from two precomputed tables, one for its low 12
-bits (elements 1..12) and one for bits 12..23 (elements 13..24), and build
-the text by one join, so it is copied once.  Readers
-work in blocks: they cut the text at set boundaries into blocks of about
-2^18 characters, tokenize each with numpy and join the words into one
-family, so their memory beyond the text and the words is one block's
-worth.  A lines block must hold only ``-`` or plain ascending elements
-split by single spaces.  The json fast path takes only the writer's exact
-layout: its header, then each block accepted only if rendering its words
-gives the block back byte for byte, so it reads what ``json.loads`` would.
-Any other input (comments, blank lines, other spacing or layout, or
-anything invalid) is parsed set by set, with the same results and error
-messages.
+Writers print each word as two entries of precomputed tables, one for its
+low 12 bits and one for the rest, gathered by numpy into one join, so no
+string is made per word and the text is copied once; a head and a tail let
+a caller print a family slice by slice.  Readers work in blocks: they cut
+the text at set boundaries into blocks of about 2^18 characters, tokenize
+each with numpy and join the words into one family, so their memory beyond
+the text and the words is one block's worth.  A lines block must hold only
+``-`` or plain ascending elements split by single spaces.  The json fast
+path takes only the writer's exact layout: its header, then each block
+accepted only if rendering its words gives the block back byte for byte,
+so it reads what ``json.loads`` would.  Any other input (comments, blank
+lines, other spacing or layout, or anything invalid) is parsed set by set,
+with the same results and error messages.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import json
 import re
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -38,6 +38,7 @@ FORMAT_TAG = "delta-family/1"
 EMPTY_SET_TOKEN = "-"
 
 # How one set prints: (between elements, before them, after them, the empty set).
+_Style = tuple[str, str, str, str]
 LINES_STYLE = (" ", "", "", EMPTY_SET_TOKEN)
 INLINE_JSON_STYLE = (", ", "[", "]", "[]")
 # Inside its brackets in the json document; the writer adds the brackets.
@@ -56,54 +57,59 @@ _HALF_BITS = 12
 _HALF_MASK = (1 << _HALF_BITS) - 1
 
 
-def _half_elements(sep: str, offset: int) -> list[str]:
-    """Entry h: the elements offset + 1 .. offset + 12 of 12-bit word h,
-    ascending, joined by ``sep``; "" for h = 0."""
-    table = [""]
-    for bit in range(_HALF_BITS):
-        e = str(offset + bit + 1)
-        table += [f"{t}{sep}{e}" if t else e for t in table]
-    return table
-
-
 @functools.cache
-def _style_tables(style: tuple[str, str, str, str]) -> tuple[list[str], list[str], list[str]]:
-    """Whole renderings of words below 2^12, and the low-half heads and
-    high-half tails that concatenate to the rendering of a larger word."""
+def _render_tables(style: _Style, between: str) -> tuple[np.ndarray, np.ndarray]:
+    """``heads[low]``: the opening and the elements of a word's low 12 bits,
+    "" for 0.  ``rests[2 * high + (low != 0)]``: the rest of the word, from
+    the separator or opening its high elements need to its closing, then
+    ``between``; entry 0 is the empty set's."""
     sep, opening, closing, empty = style
-    low = _half_elements(sep, 0)
-    whole = [f"{opening}{t}{closing}" if t else empty for t in low]
-    heads = [f"{opening}{t}{sep}" if t else opening for t in low]
-    tails = [f"{t}{closing}" for t in _half_elements(sep, _HALF_BITS)]
-    return whole, heads, tails
+    low, high = [""], [""]  # entry h: the elements of 12-bit word h joined by sep
+    for bit in range(1, _HALF_BITS + 1):
+        low += [f"{t}{sep}{bit}" if t else str(bit) for t in low]
+        high += [f"{t}{sep}{bit + _HALF_BITS}" if t else str(bit + _HALF_BITS) for t in high]
+    rests = [empty, closing] + [f"{o}{t}{closing}" for t in high[1:] for o in (opening, sep)]
+    heads = [opening + t if t else "" for t in low]
+    return np.array(heads, dtype=object), np.array(rests, dtype=object) + between
 
 
-def render_sets(words: Iterable[int], style: tuple[str, str, str, str]) -> list[str]:
-    """One string per word (each below 2^24), printed in ``style``."""
-    whole, heads, tails = _style_tables(style)
-    return [
-        whole[w] if w <= _HALF_MASK else heads[w & _HALF_MASK] + tails[w >> _HALF_BITS]
-        for w in words
-    ]
+def render_text(words, style: _Style, between: str, head: str = "", tail: str = "") -> str:
+    """``head``, then ``words`` (each below 2^24) in ``style`` with ``between``
+    after all but the last, then ``tail``: two table entries a word, gathered
+    by numpy, so one join builds the text and no string is made per word."""
+    words = np.asarray(words)
+    if not words.size:
+        return head + tail
+    heads, rests = _render_tables(style, between)
+    low = words & _HALF_MASK
+    pieces = np.empty(2 * words.size + 2, dtype=object)
+    pieces[0], pieces[-1] = head, tail
+    pieces[1:-1:2] = heads.take(low)
+    pieces[2:-1:2] = rests.take(words >> _HALF_BITS << 1 | low.astype(bool))
+    pieces[-2] = pieces[-2].removesuffix(between)  # none after the last word
+    pieces = pieces.tolist()  # frees the array before the join
+    return "".join(pieces)
+
+
+def _framing(family: Family, fmt: str) -> tuple[_Style, str, str, str]:
+    """The style, ``between``, head and tail with which ``render_text``
+    prints ``family``'s words as a ``fmt`` ("lines" or "json") file."""
+    if fmt == "lines":
+        return LINES_STYLE, "\n", "", "\n" if family._arr.size else ""
+    head = f"{_HEAD_TO_N}{family.n}{_HEAD_AFTER_N}"
+    if not family._arr.size:
+        return _JSON_SET_STYLE, _JSON_SEP, head, _JSON_TAIL
+    return _JSON_SET_STYLE, _JSON_SEP, head + _SETS_OPEN, _SETS_CLOSE + _JSON_TAIL
 
 
 def family_to_lines(family: Family) -> str:
     """Lines format; empty family serializes to the empty string."""
-    out = render_sets(family._arr.tolist(), LINES_STYLE)
-    out.append("")  # the final newline, without a second copy of the text
-    return "\n".join(out)
+    return render_text(family._arr, *_framing(family, "lines"))
 
 
 def family_to_json(family: Family) -> str:
     """The json document, laid out as ``json.dumps(..., indent=2)`` does."""
-    head = f"{_HEAD_TO_N}{family.n}{_HEAD_AFTER_N}"
-    sets = render_sets(family._arr.tolist(), _JSON_SET_STYLE)
-    if not sets:
-        return head + _JSON_TAIL
-    # head and tail go into the end sets, so the document is built by one join
-    sets[0] = head + _SETS_OPEN + sets[0]
-    sets[-1] += _SETS_CLOSE + _JSON_TAIL
-    return _JSON_SEP.join(sets)
+    return render_text(family._arr, *_framing(family, "json"))
 
 
 # Readers cut files into blocks of whole sets of about this many characters,
@@ -132,6 +138,16 @@ def _read_blocks(
         if cut == stop:
             return np.concatenate(blocks)
         start = cut + len(sep)
+
+
+def _bits_between(first: np.ndarray, values: np.ndarray, breaks: np.ndarray) -> np.ndarray:
+    """Per two adjacent ``breaks``, the sum of the bits of the elements
+    ``values`` that start between them (at offsets ``first``): a set's word
+    if its elements are distinct.  Prefix sums wrap modulo 2^32: still exact."""
+    sums = np.zeros(first.size + 1, dtype=np.uint32)
+    np.cumsum(_ELEMENT_BITS[values], out=sums[1:])
+    ends = sums[np.searchsorted(first, breaks)]
+    return ends[1:] - ends[:-1]
 
 
 def _lines_block(text: str) -> np.ndarray | None:
@@ -163,13 +179,10 @@ def _lines_block(text: str) -> np.ndarray | None:
     values = digits[last] + digits[first] * (last > first) * np.uint8(10)
     if values.size and (values.min() < 1 or values.max() > MAX_GROUND):
         return None
-    line = np.cumsum(newline, dtype=np.int32)[first] - 1
-    if ((line[1:] == line[:-1]) & (values[1:] <= values[:-1])).any():
+    # two adjacent elements share a line iff a space follows the first
+    if (space[last[:-1] + 1] & (values[1:] <= values[:-1])).any():
         return None  # elements not strictly increasing
-    # A set's bits are distinct, so their sum is their union; each sum is
-    # below 2^24, so float64 holds it exactly.
-    bits = _ELEMENT_BITS[values]
-    return np.bincount(line, weights=bits, minlength=width.size).astype(np.uint32)
+    return _bits_between(first, values, breaks)
 
 
 def family_from_lines(text: str, n: int | None = None) -> Family:
@@ -235,15 +248,10 @@ def _json_block(block: str) -> np.ndarray | None:
     first = np.flatnonzero(is_digit[1:] != is_digit[:-1])[::2] + 1
     tens, units = digits[first], digits[first + 1]
     values = np.where(units < 10, tens * np.uint8(10) + units, tens)
-    # Prefix sums of the element bits wrap modulo 2^32, which leaves every
-    # word below 2^32 exact.
-    sums = np.zeros(first.size + 1, dtype=np.uint32)
-    np.cumsum(_ELEMENT_BITS[values], out=sums[1:])
-    ends = sums[np.searchsorted(first, np.flatnonzero(buf == ord("]")))]
-    words = ends[1:] - ends[:-1]
+    words = _bits_between(first, values, np.flatnonzero(buf == ord("]")))
     if words.max() >> MAX_GROUND:
-        return None  # repeated elements; render_sets takes words below 2^24
-    if _JSON_SEP.join(render_sets(words.tolist(), _JSON_SET_STYLE)) != block:
+        return None  # repeated elements; render_text takes words below 2^24
+    if render_text(words, _JSON_SET_STYLE, _JSON_SEP) != block:
         return None
     return words
 

@@ -284,6 +284,14 @@ def oracle_to_lines(family: df.Family) -> str:
     return "\n".join(out) + ("\n" if out else "")
 
 
+def oracle_render_text(words, style, between, head="", tail="") -> str:
+    """``render_text`` by its definition: each word's elements inside the
+    style's brackets, or its empty-set token, joined by ``between``."""
+    sep, opening, closing, empty = style
+    sets = [opening + sep.join(map(str, df.elements_of(w))) + closing if w else empty for w in words]
+    return head + between.join(sets) + tail
+
+
 def oracle_to_json(family: df.Family) -> str:
     payload = {
         "format": df.FORMAT_TAG,

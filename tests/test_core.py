@@ -583,17 +583,17 @@ class TestFirstRepeat:
         expected = next(
             (x for k, x in enumerate(words) if not naive_free(words[: k + 1])), None
         )
-        assert _first_repeat(words, combine) == expected
+        assert _first_repeat(combine, words) == expected
 
     @pytest.mark.parametrize("combine", [operator.xor, operator.or_])
     @pytest.mark.parametrize("words", [[], [5], [0, 1]])
     def test_fewer_than_two_pairs_never_repeat(self, combine, words):
-        assert _first_repeat(words, combine) is None
+        assert _first_repeat(combine, words) is None
 
     def test_union_break_among_the_new_pairs_only(self):
         # 3 | 4 = 3 | 5 = 7, while the earlier pair's union is 4 | 5 = 5
-        assert _first_repeat([4, 5, 3], operator.or_) == 3
-        assert _first_repeat([4, 5, 3], operator.xor) is None
+        assert _first_repeat(operator.or_, [4, 5, 3]) == 3
+        assert _first_repeat(operator.xor, [4, 5, 3]) is None
 
 
 def _greedy_pair_free_words(rng: random.Random, n: int, m: int, combine) -> list[int]:

@@ -1,25 +1,28 @@
 """Round-trips and rejection behavior for the lines and json formats, the
-table writers and block readers against the per-set oracles, and the block
-readers on files of many blocks."""
+table renderer and block readers against the per-set oracles, the block
+readers on files of many blocks and ``generate`` written in slices."""
 
 from __future__ import annotations
 
 import json
 import random
 import re
+import sys
 import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import deltafree as df
-from deltafree import serialization
+from deltafree import cli, serialization
 from conftest import (
     fam,
     family_strategy,
     oracle_from_json,
     oracle_from_lines,
+    oracle_render_text,
     oracle_to_json,
     oracle_to_lines,
     outcome,
@@ -180,6 +183,35 @@ class TestJsonFormat:
             df.family_from_json('{"n": 0, "sets": []}')
         with pytest.raises(ValueError):
             df.family_from_json('{"n": 99, "sets": []}')
+
+
+class TestRenderText:
+    """The table renderer against its definition, for every style a caller
+    passes: the words at the 12-bit seam, the top of the range, no word and
+    one word, with any head and tail."""
+
+    @pytest.mark.parametrize(
+        "style",
+        [serialization.LINES_STYLE, serialization.INLINE_JSON_STYLE, serialization._JSON_SET_STYLE],
+    )
+    @given(
+        words=st.lists(
+            st.one_of(st.sampled_from([0, 1, 4095, 4096, 4097]), st.integers(0, (1 << 24) - 1)),
+            max_size=12,
+        ),
+        # a few separators, since each builds and caches its own tables
+        between=st.sampled_from(["", "\n", ", ", ",\n    ", serialization._JSON_SEP, "]x"]),
+        head=st.text(max_size=4),
+        tail=st.text(max_size=4),
+    )
+    @example(words=[0, 1, 4095, 4096, 4097, 1 << 23, (1 << 24) - 1], between="\n", head="", tail="")
+    @example(words=[], between="\n", head="<", tail=">")
+    @example(words=[4096], between=", ", head="", tail="")
+    def test_matches_naive_reference(self, style, words, between, head, tail):
+        expected = oracle_render_text(words, style, between, head, tail)
+        assert serialization.render_text(words, style, between, head, tail) == expected
+        array = np.array(words, dtype=np.uint32)
+        assert serialization.render_text(array, style, between, head, tail) == expected
 
 
 class TestAgainstOracles:
@@ -370,6 +402,44 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 16 << 20
+
+    def test_writer_memory_is_bounded(self, family_n18):
+        tracemalloc.start()
+        try:
+            text = df.family_to_json(family_n18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the rendering's pieces, 16 bytes a set, and the tables if not yet cached
+        assert peak - sys.getsizeof(text) < 6 << 20
+
+
+class TestGenerateInSlices:
+    """``generate`` writes a slice of words at a time: the bytes of the
+    whole-text writers, which lay JSON out as ``json.dumps(..., indent=2)``."""
+
+    @pytest.mark.parametrize("fmt", ["lines", "json"])
+    def test_n19_in_two_slices(self, capsys, fmt):
+        family = df.generate_family(df.Generator(19, df.word_of([1, 3], 19)))
+        assert len(family) == 2 * cli._EMIT_SLICE
+        assert cli.main(["generate", "--n", "19", "--sc", "1,3", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "lines":
+            assert out == df.family_to_lines(family) == oracle_to_lines(family)
+        else:
+            assert out == df.family_to_json(family) == oracle_to_json(family)
+
+    @pytest.mark.parametrize("fmt", ["lines", "json"])
+    @pytest.mark.parametrize("slice_words", [3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_small_slices(self, capsys, monkeypatch, fmt, slice_words, n):
+        # 1, 2, 4, 8 and 16 words: one short slice, exactly one or more
+        # whole slices (by 4), and whole slices then a short one (by 3)
+        monkeypatch.setattr(cli, "_EMIT_SLICE", slice_words)
+        family = df.generate_family(df.Generator(n, 0))
+        assert cli.main(["generate", "--n", str(n), "--format", fmt]) == 0
+        expected = oracle_to_lines(family) if fmt == "lines" else oracle_to_json(family)
+        assert capsys.readouterr().out == expected
 
 
 class TestElementSetSpecs:
