@@ -67,8 +67,8 @@ def _json_text(value: object, pad: str = "") -> str:
 
 def _load_family(path: str, n: int | None) -> Family:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
     try:
         if text.lstrip().startswith("{"):

@@ -11,16 +11,15 @@ ground size exactly.  Sets are always emitted in canonical family order
 Writers print each word as two entries of precomputed tables, one for its
 low 12 bits and one for the rest, gathered by numpy into one join, so no
 string is made per word and the text is copied once; a head and a tail let
-a caller print a family slice by slice.  Readers work in blocks: they cut
-the text at set boundaries into blocks of about 2^18 characters, tokenize
-each with numpy and join the words into one family, so their memory beyond
-the text and the words is one block's worth.  A lines block must hold only
-``-`` or plain ascending elements split by single spaces.  The json fast
-path takes only the writer's exact layout: its header, then each block
-accepted only if rendering its words gives the block back byte for byte,
-so it reads what ``json.loads`` would.  Any other input (comments, blank
-lines, other spacing or layout, or anything invalid) is parsed set by set,
-with the same results and error messages.
+a caller print a family slice by slice.  Readers invert the writers, by
+one rule for both formats: they cut the text at set boundaries into blocks
+of about 2^18 characters, read each block's words with numpy, and accept
+the block only if ``render_text`` gives it back byte for byte; a json
+document must also have the writer's head and tail.  So the fast path takes
+each set exactly as the writer prints it, the sets in any order, and its
+memory beyond the text and the words is one block's worth.  Any other input
+(comments, blank lines, other spacing or layout, or anything invalid) is
+parsed set by set, with the same results and error messages.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from __future__ import annotations
 import functools
 import json
 import re
-from typing import Callable
 
 import numpy as np
 
@@ -116,78 +114,61 @@ def family_to_json(family: Family) -> str:
 # so that their temporaries stay bounded however large the file.
 _BLOCK_CHARS = 1 << 18
 
-# Entry v: the bit of element v, or 0 where v is no element (v < 100).
-_ELEMENT_BITS = np.zeros(100, dtype=np.uint32)
-_ELEMENT_BITS[1 : MAX_GROUND + 1] = 1 << np.arange(MAX_GROUND)
+
+@functools.cache
+def _pair_bits() -> np.ndarray:
+    """Entry ``a << 8 | b``: the bit of the element that a run of digits
+    spells when its first two bytes are ``a`` and ``b``; 0 where that is no
+    element of 1..MAX_GROUND.  Rows stop at ``a = "9"``, as ``a`` is a digit."""
+    table = np.zeros((ord("9") + 1, 256), dtype=np.uint32)
+    byte = np.arange(256)
+    ends_run = (byte < ord("0")) | (byte > ord("9"))
+    for element in range(1, MAX_GROUND + 1):
+        first, *second = str(element).encode("ascii")
+        table[first, second or ends_run] = 1 << element - 1
+    return table.ravel()
 
 
-def _read_blocks(
-    text: str, start: int, stop: int, sep: str, parse: Callable[[str], np.ndarray | None]
-) -> np.ndarray | None:
-    """The words of the sets in text[start:stop], which ``sep`` separates:
-    ``parse`` reads each block of whole sets; None once it refuses one."""
+def _read_words(text: str, start: int, stop: int, style: _Style, between: str) -> np.ndarray | None:
+    """The words of text[start:stop] if ``render_text(words, style, between)``
+    prints it exactly; None for any other text.
+
+    The text is cut at ``between`` into blocks of about _BLOCK_CHARS.  In a
+    block, each run of digits reads as the element its first two digits
+    spell, in the set between the ``between[0]`` bytes around it; that byte
+    occurs once in ``between`` and in no rendered set.  Text that this
+    misreads renders differently, so the render check alone decides what is
+    accepted.
+    """
+    pad = between[0]
     blocks = []
     while True:
-        cut = text.find(sep, start + _BLOCK_CHARS, stop)
-        if cut < 0:
-            cut = stop
-        words = parse(text[start:cut])
-        if words is None:
+        cut = text.find(between, start + _BLOCK_CHARS, stop)
+        block = text[start : cut if cut >= 0 else stop]
+        # one byte a character: a non-ASCII one reads as "?" and fails the check
+        buf = np.frombuffer(f"{pad}{block}{pad}".encode("ascii", "replace"), dtype=np.uint8)
+        is_digit = buf - np.uint8(ord("0")) < 10
+        before = np.flatnonzero(is_digit[1:] > is_digit[:-1])  # the byte before each run
+        pair = np.left_shift(buf[1:][before], 8, dtype=np.uint16)
+        pair |= buf[2:][before]
+        sums = np.zeros(before.size + 1, dtype=np.uint32)  # wraps modulo 2^32: still exact
+        np.cumsum(_pair_bits().take(pair), out=sums[1:])
+        # the runs before a pad byte are those whose byte before lies before it
+        words = np.diff(sums[np.searchsorted(before, np.flatnonzero(buf == ord(pad)))])
+        # repeated elements can sum past 2^24, which render_text refuses
+        if words.max() >> MAX_GROUND or render_text(words, style, between) != block:
             return None
         blocks.append(words)
-        if cut == stop:
+        if cut < 0:
             return np.concatenate(blocks)
-        start = cut + len(sep)
-
-
-def _bits_between(first: np.ndarray, values: np.ndarray, breaks: np.ndarray) -> np.ndarray:
-    """Per two adjacent ``breaks``, the sum of the bits of the elements
-    ``values`` that start between them (at offsets ``first``): a set's word
-    if its elements are distinct.  Prefix sums wrap modulo 2^32: still exact."""
-    sums = np.zeros(first.size + 1, dtype=np.uint32)
-    np.cumsum(_ELEMENT_BITS[values], out=sums[1:])
-    ends = sums[np.searchsorted(first, breaks)]
-    return ends[1:] - ends[:-1]
-
-
-def _lines_block(text: str) -> np.ndarray | None:
-    """The words of lines that are each ``-`` or 1- and 2-digit elements,
-    strictly increasing and split by single spaces; None for any other text."""
-    if not text.isascii():
-        return None
-    # Padded so that each line lies between two newlines.
-    buf = np.frombuffer(f"\n{text}\n".encode("ascii"), dtype=np.uint8)
-    newline = buf == ord("\n")
-    breaks = np.flatnonzero(newline)
-    width = np.diff(breaks)
-    if (width == 1).any():
-        return None  # a blank line
-    digits = buf - np.uint8(ord("0"))
-    digit = digits < 10
-    space = buf == ord(" ")
-    dash = buf == ord("-")
-    if not (digit | space | newline | dash).all():
-        return None
-    if dash.sum() != (dash[breaks[:-1] + 1] & (width == 2)).sum():
-        return None  # a dash that is not a whole line
-    if (space[1:-1] & ~(digit[:-2] & digit[2:])).any():
-        return None  # a space not between two digits
-    edges = np.flatnonzero(digit[1:] != digit[:-1])
-    first, last = edges[::2] + 1, edges[1::2]
-    if (last - first > 1).any():
-        return None  # three or more digits
-    values = digits[last] + digits[first] * (last > first) * np.uint8(10)
-    if values.size and (values.min() < 1 or values.max() > MAX_GROUND):
-        return None
-    # two adjacent elements share a line iff a space follows the first
-    if (space[last[:-1] + 1] & (values[1:] <= values[:-1])).any():
-        return None  # elements not strictly increasing
-    return _bits_between(first, values, breaks)
+        start = cut + len(between)
 
 
 def family_from_lines(text: str, n: int | None = None) -> Family:
-    """Parse lines format; ``n`` defaults to the largest element present."""
-    words = _read_blocks(text, 0, len(text) - text.endswith("\n"), "\n", _lines_block)
+    """Parse lines format; ``n`` defaults to the largest element present.
+    The fast path takes lines that each print a set as the writer does, in
+    any order, with or without the final newline."""
+    words = _read_words(text, 0, len(text) - text.endswith("\n"), LINES_STYLE, "\n")
     if words is not None:
         ground = n if n is not None else max(1, int(words.max(initial=0)).bit_length())
         try:
@@ -229,33 +210,6 @@ def _family_of_sets(n: int, sets: list[tuple[int, ...]]) -> Family:
     return Family(n, words)
 
 
-def _json_block(block: str) -> np.ndarray | None:
-    """The words of sets joined by _JSON_SEP, or None unless rendering them
-    gives the block back byte for byte.
-
-    Each run of digits reads as the element its first two digits spell, in
-    the set between the "]" bytes around it.  Text that this misreads is
-    text the writer cannot print, and it renders differently, so the check
-    alone decides what is accepted.
-    """
-    if not block.isascii():
-        return None
-    # Padded so that each set, and each run of digits, has a "]" or another
-    # non-digit byte on both sides.
-    buf = np.frombuffer(f"]{block}]".encode("ascii"), dtype=np.uint8)
-    digits = buf - np.uint8(ord("0"))
-    is_digit = digits < 10
-    first = np.flatnonzero(is_digit[1:] != is_digit[:-1])[::2] + 1
-    tens, units = digits[first], digits[first + 1]
-    values = np.where(units < 10, tens * np.uint8(10) + units, tens)
-    words = _bits_between(first, values, np.flatnonzero(buf == ord("]")))
-    if words.max() >> MAX_GROUND:
-        return None  # repeated elements; render_text takes words below 2^24
-    if render_text(words, _JSON_SET_STYLE, _JSON_SEP) != block:
-        return None
-    return words
-
-
 def _layout_json(text: str) -> Family | None:
     """The family of a document in the writer's exact layout; None for
     any other text, or for a ground size or element the family refuses."""
@@ -263,14 +217,11 @@ def _layout_json(text: str) -> Family | None:
     if head is None or not text.endswith(_JSON_TAIL):
         return None
     start, stop = head.end(), len(text) - len(_JSON_TAIL)
-    if start == stop:
-        words = np.zeros(0, dtype=np.uint32)
-    elif text.startswith(_SETS_OPEN, start, stop) and text.endswith(_SETS_CLOSE, start, stop):
+    words = np.zeros(0, dtype=np.uint32) if start == stop else None
+    if text.startswith(_SETS_OPEN, start, stop) and text.endswith(_SETS_CLOSE, start, stop):
         # no byte of _SETS_OPEN is "]", so the two do not overlap
         start, stop = start + len(_SETS_OPEN), stop - len(_SETS_CLOSE)
-        words = _read_blocks(text, start, stop, _JSON_SEP, _json_block)
-    else:
-        return None
+        words = _read_words(text, start, stop, _JSON_SET_STYLE, _JSON_SEP)
     if words is None:
         return None
     try:
@@ -280,6 +231,8 @@ def _layout_json(text: str) -> Family | None:
 
 
 def family_from_json(text: str) -> Family:
+    """Parse a json document.  The fast path takes the writer's head and
+    tail and, between them, sets printed as the writer does, in any order."""
     family = _layout_json(text)
     if family is not None:
         return family

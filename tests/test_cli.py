@@ -151,6 +151,13 @@ class TestCheck:
         code, _, _ = run_cli(capsys, "check", "--file", str(tmp_path / "nope.txt"))
         assert code == 2
 
+    def test_file_that_is_not_utf8_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"\xff1\n")
+        code, out, err = run_cli(capsys, "check", "--file", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+
     def test_json_family_file(self, capsys, tmp_path):
         path = tmp_path / "f.json"
         path.write_text(df.family_to_json(all_odd_family(3)))

@@ -78,6 +78,50 @@ def edited_document(draw):
     return writer_document(f.n, sets)
 
 
+@st.composite
+def edited_lines(draw):
+    """The writer's lines text for a family at n <= 12 and that n, with one
+    edit: a byte inserted, deleted or replaced, two lines swapped, a line
+    repeated, two elements of a line swapped, a leading zero, a trailing
+    space, one "\r\n" line end, or the final newline dropped."""
+    f = draw(family_strategy(max_n=12, max_size=12))
+    text = df.family_to_lines(f)
+    lines = text.splitlines()
+    edits = ["insert", "delete", "replace", "swap lines", "repeat line", "swap elements"]
+    edit = draw(st.sampled_from(edits + ["leading zero", "trailing space", "crlf", "final newline"]))
+    at = draw(st.integers(min_value=0, max_value=max(len(text) - 1, 0)))
+    byte = draw(st.sampled_from("0123456789 \n-\r\t#x"))
+    pick = st.integers(min_value=0, max_value=max(len(lines) - 1, 0))
+    i, j = draw(pick), draw(pick)
+    if edit == "insert":
+        return text[:at] + byte + text[at:], f.n
+    if edit == "delete":
+        return text[:at] + text[at + 1 :], f.n
+    if edit == "replace":
+        return text[:at] + byte + text[at + 1 :], f.n
+    if edit == "final newline":
+        return text[:-1], f.n
+    if lines and edit == "swap lines":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif lines and edit == "repeat line":
+        lines.insert(j, lines[i])
+    elif lines and edit == "swap elements" and " " in lines[i]:
+        elems = lines[i].split()
+        e = draw(st.integers(min_value=1, max_value=len(elems) - 1))
+        elems[e - 1], elems[e] = elems[e], elems[e - 1]
+        lines[i] = " ".join(elems)
+    elif lines and edit == "leading zero":
+        elems = lines[i].split()
+        e = draw(st.integers(min_value=0, max_value=len(elems) - 1))
+        elems[e] = "0" + elems[e]
+        lines[i] = " ".join(elems)
+    elif lines and edit == "trailing space":
+        lines[i] += " "
+    elif lines and edit == "crlf":
+        lines[i] += "\r"
+    return "".join(line + "\n" for line in lines), f.n
+
+
 def every_family(n):
     for bits in range(1 << (1 << n)):
         yield [w for w in range(1 << n) if bits >> w & 1]
@@ -235,9 +279,14 @@ class TestAgainstOracles:
         assert df.family_from_lines(lines) == f
         assert df.family_from_json(doc) == f
 
-    @pytest.mark.parametrize("n, sc", [(1, 0), (5, 3), (12, 7), (13, 4096), (16, 1)])
+    @pytest.mark.parametrize("n, sc", [(1, 0), (5, 3), (12, 7), (13, 4096), (16, 1), (24, None)])
     def test_canonical_files_skip_the_set_by_set_parse(self, monkeypatch, n, sc):
-        f = df.generate_family(df.Generator(n, sc))
+        if sc is None:  # members of elements 10..24: every two-digit element
+            words = np.random.default_rng(24).integers(1, 1 << 15, size=500) << 9
+            f = df.Family(n, words)
+            assert f.members[-1] >> 23
+        else:
+            f = df.generate_family(df.Generator(n, sc))
         lines, doc = oracle_to_lines(f), oracle_to_json(f)
 
         def refuse(*args):
@@ -274,6 +323,12 @@ class TestAgainstOracles:
     @given(edited_document())
     def test_json_reader_matches_oracle_on_edited_writer_output(self, text):
         assert outcome(df.family_from_json, text) == outcome(oracle_from_json, text)
+
+    @given(edited_lines())
+    def test_lines_reader_matches_oracle_on_edited_writer_output(self, edit):
+        text, n = edit
+        assert outcome(df.family_from_lines, text) == outcome(oracle_from_lines, text)
+        assert outcome(df.family_from_lines, text, n) == outcome(oracle_from_lines, text, n)
 
     @pytest.mark.parametrize(
         "text",
