@@ -8,27 +8,18 @@ a deduplicated ascending ``uint32`` array; everything downstream
 array, and a vector over all 2^n words is scattered from it only where a
 caller needs one.
 
-The expensive family predicates are decided bit-parallel: the xor
-pair-count vector of a family (how many ordered member pairs have a given
-symmetric difference) is computed with a Walsh transform of the members'
-indicator vector, which turns the quadratic pair scans into O(n * 2^n)
-vector work for every supported n.  The counts are exact although the
-second transform's partial sums (up to 2^(3n)) overflow int64: the
-transform only adds and subtracts, so wrapping int64 arithmetic yields the
-true result modulo 2^64, and the true result 2^n * counts[w] <= 2^n * |F|
-<= 2^48 lies below 2^63, so the wrapped value is the true one.  Every
-witness is the lexicographically first violating tuple.  The pairwise and
-closure checks are their witness finders (``is_*`` is ``find_* is None``):
-a pair scan while ``_scan_is_cheaper(F)`` holds, past it one pair-count
-vector that gives the witness's first member and then its partner.  Each
-first settles the empty set: a member, for pairwise, gives (0, 0), and an
-absent one, for closure, gives (m0, m0) with m0 the least member.  The
-quadruple witness keeps its pair scan while ``_scan_is_cheaper(F, 32)``
-holds and past it reads the first repeated difference off the pair counts.
-Below their cutoffs the quadruple and union checks run one incremental scan,
-``_first_repeat``, which the survival sweep also runs in draw order; it
-settles a free family, and the union witness scans every pair only when
-that scan finds a repeat.
+Every witness is the lexicographically first violating tuple: a pair scan
+finds it while ``_scan_is_cheaper(F)`` holds, and past it a vector of
+ordered pair counts does in O(n * 2^n) vector work.  The xor counts come
+from two Walsh transforms, exact although the second one's partial sums
+(up to 2^(3n)) overflow int64: it only adds and subtracts, so wrapping
+arithmetic yields the true result modulo 2^64, and that result
+2^n * counts[w] <= 2^48 lies below 2^63.  The pairwise and closure checks
+are their witness finders (``is_*`` is ``find_* is None``), which settle
+the empty set first.  Quadruple (xor) and union (or) are one engine over
+the combine op: a pigeonhole exit and ``_first_repeat``, the incremental
+scan the survival sweep runs too, decide the predicate; the witness reads
+the xor or the union (OR-convolution) pair counts.
 """
 
 from __future__ import annotations
@@ -42,9 +33,6 @@ import numpy as np
 #: Largest supported ground size; the pair-count transform's int64 vector
 #: has 2^MAX_GROUND entries (128 MiB).
 MAX_GROUND = 24
-
-# Below this many members a direct early-exit pair scan beats the transform.
-_SMALL_SCAN_LIMIT = 48
 
 
 def validate_ground(n: int) -> None:
@@ -85,6 +73,8 @@ def elements_of(word: int) -> tuple[int, ...]:
     """The 1-based elements of a word, ascending."""
     out = []
     w = int(word)
+    if w < 0:
+        raise ValueError(f"word {w:#x} does not fit any ground size")
     while w:
         low = w & -w
         out.append(low.bit_length())
@@ -211,16 +201,37 @@ def xor_pair_counts(family: Family) -> np.ndarray:
     return counts
 
 
-def _scan_is_cheaper(family: Family, limit: int = _SMALL_SCAN_LIMIT) -> bool:
-    """Whether a pair scan beats the Walsh path: up to ``limit`` members, and
-    while its m^2 / 2 interpreted steps stay under the transform's n * 2^n
-    vector steps, which holds for m^2 <= 2^(n-2).  The rule is safe, not
-    tight: a full set-lookup scan of a delta-free family stays cheaper than
-    the pairwise witness's transform up to about m = 64 at n = 10, 190 at
+def _subset_sums(vec: np.ndarray, step=np.add) -> np.ndarray:
+    """Zeta transform over the subset lattice, in place; returns ``vec``:
+    vec[w] becomes the sum of vec[v] over v <= w (v & ~w == 0).  With
+    ``step=np.subtract`` it is the inverse, the Moebius transform."""
+    for k in range(vec.size.bit_length() - 1):
+        blocks = vec.reshape(-1, 2, 1 << k)
+        step(blocks[:, 1, :], blocks[:, 0, :], out=blocks[:, 1, :])
+    return vec
+
+
+def _union_pair_counts(family: Family) -> np.ndarray:
+    """counts[w] = number of ordered member pairs (A, B) with A | B = w: the
+    Moebius transform of the squared subset sums (pairs with union inside
+    w).  Every partial Moebius sum also counts pairs (union equal to w on
+    the bits done, inside w on the rest), so int64 never overflows."""
+    vec = np.zeros(1 << family.n, dtype=np.int64)
+    vec[family._arr] = 1
+    np.square(_subset_sums(vec), out=vec)
+    return _subset_sums(vec, np.subtract)
+
+
+def _scan_is_cheaper(family: Family) -> bool:
+    """Whether a pair scan beats the transform path: up to 48 members, and
+    while its m^2 / 2 steps stay under the transform's n * 2^n vector
+    steps, which holds for m^2 <= 2^(n-2).  The rule is safe, not tight: a
+    full set-lookup scan of a delta-free family stays cheaper than the
+    pairwise witness's transform up to about m = 64 at n = 10, 190 at
     n = 14, 770 at n = 18, 3,200 at n = 22 and 7,300 at n = 24 (2-vCPU
     x86_64, numpy 2.4)."""
     m = family._arr.size
-    return m <= limit or (m * m) << 2 <= 1 << family.n
+    return m <= 48 or (m * m) << 2 <= 1 << family.n
 
 
 def _first_member_pair(family: Family, present: bool) -> tuple[int, int] | None:
@@ -281,33 +292,6 @@ def is_delta_closed(family: Family) -> bool:
     return find_closure_violation(family) is None
 
 
-def _first_pair_collision(
-    family: Family, combine
-) -> tuple[int, int, int, int] | None:
-    """First (A, B, C, D), pairs scanned in canonical order, with
-    combine(A, B) == combine(C, D), {A, B} != {C, D}, A < B, C < D.
-
-    ``_first_repeat`` settles a free family; otherwise every pair is
-    scanned, since the first pair to collide may collide only later."""
-    members = family._arr.tolist()
-    if _first_repeat(combine, members) is None:
-        return None
-    seen: dict[int, tuple[int, int]] = {}
-    collisions: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            key = combine(a, b)
-            first = seen.get(key)
-            if first is None:
-                seen[key] = (a, b)
-            elif key not in collisions:
-                collisions[key] = (first, (a, b))
-    if not collisions:
-        return None
-    (a, b), (c, d) = min(collisions.values())
-    return (a, b, c, d)
-
-
 def _first_repeat(combine, words: Iterable[int]) -> int | None:
     """The first of the distinct ``words``, in the order given, whose pairs
     with the words before it repeat a ``combine`` value: one an earlier pair
@@ -326,79 +310,93 @@ def _first_repeat(combine, words: Iterable[int]) -> int | None:
     return None
 
 
-def _pairs_outnumber_images(family: Family) -> bool:
-    """Pigeonhole: the xor or union of a distinct pair is a nonzero word, so
-    more than 2^n - 1 distinct pairs force two of them to collide."""
-    m = family._arr.size
-    return m * (m - 1) // 2 >= 1 << family.n
+def _images_distinct(family: Family, combine) -> bool:
+    """No two distinct member pairs share a ``combine`` value.  The xor or
+    union of a distinct pair is a nonzero word, so more than 2^n - 1 pairs
+    collide by pigeonhole; below that ``_first_repeat`` decides."""
+    m = family._arr
+    pairs = m.size * (m.size - 1) // 2
+    return pairs < 1 << family.n and _first_repeat(combine, m.tolist()) is None
+
+
+def _first_collision(family: Family, combine) -> tuple[int, int, int, int] | None:
+    """First (A, B, C, D), A < B, C < D, with combine(A, B) == combine(C, D):
+    (A, B) the first member pair in scan order whose value another pair
+    shares, (C, D) the next pair with that value.
+
+    Past ``_scan_is_cheaper`` a value w != 0 of two distinct pairs has an
+    ordered pair count >= 4 (the diagonal adds at most (w, w), for union),
+    and the rows before (A, B)'s hold distinct values: fewer than 2^n + m
+    pairs are scanned.  C is the least member from A on with a partner not
+    through the A-B link (a partner below it would be an earlier one), D
+    its least partner above it; union partners d of c have
+    key & ~c <= d <= key, counted for every c by one subset sum.
+    """
+    m = family._arr
+    if _scan_is_cheaper(family):
+        rows, cols = np.triu_indices(m.size, 1)
+        values = combine(m[rows], m[cols])
+        _, value, count = np.unique(values, return_inverse=True, return_counts=True)
+        shared = count[value] > 1
+        if not shared.any():
+            return None
+        p, q = np.flatnonzero(value == value[shared.argmax()])[:2]
+        return (int(m[rows[p]]), int(m[cols[p]]), int(m[rows[q]]), int(m[cols[q]]))
+    xor = combine is operator.xor
+    repeated = (xor_pair_counts if xor else _union_pair_counts)(family) >= 4
+    for i in range(m.size - 1):
+        hits = repeated[combine(m[i + 1 :], m[i])]
+        if hits.any():
+            break
+    else:
+        return None
+    j = i + 1 + hits.argmax()
+    key = combine(m[i], m[j])
+    rest = m[i:]
+    if xor:
+        partners = family.table_bits()[rest ^ key]
+    else:
+        full = (1 << family.n) - 1
+        above = np.zeros(1 << family.n, dtype=np.int32)
+        above[full ^ m[(m | key) == key]] = 1
+        _subset_sums(above)  # above[full ^ x]: members inside key that contain x
+        partners = np.where((rest | key) == key, above[rest | (full ^ key)] - (rest == key), 0)
+    partners[[0, j - i]] -= 1  # A and B are each other's partners
+    k = i + (partners > 0).argmax()
+    tail = m[(j if k == i else k) + 1 :]
+    d = tail[(combine(tail, m[k]) == key).argmax()]
+    return (int(m[i]), int(m[j]), int(m[k]), int(d))
 
 
 def is_quadruple_delta_free(family: Family) -> bool:
-    """True iff no two distinct member pairs share a symmetric difference.
-
-    Pairs are unordered with distinct elements (A != B), and the two pairs
-    must differ as sets; a lone repeated difference is what fails.
-    """
-    if _pairs_outnumber_images(family):
-        return False
-    if not _scan_is_cheaper(family, 256):
-        counts = xor_pair_counts(family)
-        return bool((counts[1:] <= 2).all())
-    return _first_repeat(operator.xor, family._arr.tolist()) is None
+    """True iff no two distinct member pairs share a symmetric difference:
+    pairs are unordered with A != B and differ as sets, so a lone repeated
+    difference is what fails."""
+    return _images_distinct(family, operator.xor)
 
 
 def find_quadruple_collision(family: Family) -> tuple[int, int, int, int] | None:
     """Witness for is_quadruple_delta_free: first (A, B, C, D) with
-    A xor B = C xor D across distinct pairs.
-
-    The witness scan of a family that collides never stops early, so it keeps
-    the pair scan only up to 32 members or while m^2 <= 2^(n-2): measured on
-    random families (2-vCPU x86_64, numpy 2.4), the counts path wins from
-    m = 37 at n <= 8, 74 at n = 12, 175 at n = 16, about 650 at n = 20 and
-    2,300 at n = 24.
-    """
-    if _scan_is_cheaper(family, 32):
-        return _first_pair_collision(family, operator.xor)
-    return _quadruple_from_counts(family)
-
-
-def _quadruple_from_counts(family: Family) -> tuple[int, int, int, int] | None:
-    """The same witness from the xor pair counts: (A, B) is the first pair in
-    scan order whose difference has counts >= 4 (two unordered pairs), and
-    (C, D) the least other pair with that difference.
-
-    Scanned rows before the hit hold only pairs with distinct differences,
-    so the row-by-row lookup touches fewer than 2^n + m pairs in total.
-    """
-    counts = xor_pair_counts(family)
-    repeated = counts >= 4
-    repeated[0] = False  # counts[0] = |F| comes from the diagonal
-    if not repeated.any():
-        return None
-    m = family._arr
-    for i in range(m.size - 1):
-        hit = np.flatnonzero(repeated[m[i + 1 :] ^ m[i]])
-        if hit.size:
-            a, b = int(m[i]), int(m[i + 1 + hit[0]])
-            break
-    key = a ^ b
-    partner = m ^ key
-    twin = (partner > m) & (family.table_bits()[partner] == 1) & (m != a)
-    c = int(m[np.flatnonzero(twin)[0]])
-    return (a, b, c, c ^ key)
+    A xor B = C xor D across distinct pairs.  On random families the pair
+    counts beat the all-pairs scan from about m = 64 at n = 8, 128 at
+    n = 12, 400 at n = 16, 1,700 at n = 20 and 5,000 at n = 24 (2-vCPU
+    x86_64, numpy 2.4); ``_scan_is_cheaper`` scans up to 48, 48, 128, 512
+    and 2,048 members."""
+    return _first_collision(family, operator.xor)
 
 
 def is_union_free(family: Family) -> bool:
     """True iff no two distinct member pairs share a union (same pair
     conventions as the quadruple difference check)."""
-    if _pairs_outnumber_images(family):
-        return False
-    return _first_repeat(operator.or_, family._arr.tolist()) is None
+    return _images_distinct(family, operator.or_)
 
 
 def find_union_collision(family: Family) -> tuple[int, int, int, int] | None:
-    """Witness for is_union_free: first (A, B, C, D) with A ∪ B = C ∪ D."""
-    return _first_pair_collision(family, operator.or_)
+    """Witness for is_union_free: first (A, B, C, D) with A | B = C | D.
+    The union counts cost about 2/3 of the xor ones, so the break-even
+    with the scan lies a little lower: m = 64, 128, 400, 1,500 and 4,500
+    at n = 8, 12, 16, 20 and 24."""
+    return _first_collision(family, operator.or_)
 
 
 # Every freeness definition by name, to its lexicographically first witness

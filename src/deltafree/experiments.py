@@ -65,6 +65,11 @@ def _mix(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _require_int(name: str, value: object) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def _trial_state(seed: int, trial_index: int) -> int:
     return _mix(_mix(seed) ^ (trial_index & _MASK64))
 
@@ -99,9 +104,7 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("p_grid must be strictly increasing")
         for name in ("trials", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+            _require_int(name, getattr(self, name))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.definition not in DEFINITIONS:
@@ -200,6 +203,8 @@ def random_family(n: int, p: float, seed: int, trial_index: int) -> Family:
     validate_ground(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p} outside [0, 1]")
+    _require_int("seed", seed)
+    _require_int("trial_index", trial_index)
     cutoff = _threshold(p)
     if cutoff > _MASK64:
         return Family(n, np.arange(1 << n))

@@ -7,6 +7,7 @@ from math import isqrt
 import operator
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,12 +15,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import deltafree as df
-from deltafree.core import (
-    _first_pair_collision,
-    _first_repeat,
-    _quadruple_from_counts,
-    _scan_is_cheaper,
-)
+from deltafree import core
+from deltafree.core import _first_repeat, _scan_is_cheaper
 from conftest import (
     all_odd_family,
     apply_gf2,
@@ -94,6 +91,14 @@ class TestWordAlgebra:
     def test_elements_roundtrip(self):
         for w in range(64):
             assert df.word_of(df.elements_of(w), 6) == w
+
+    @pytest.mark.parametrize("word", [-1, -(2**40), np.int64(-3)])
+    def test_negative_word_is_refused(self, word):
+        # a negative int has infinitely many set bits
+        with pytest.raises(ValueError, match="does not fit any ground size"):
+            df.elements_of(word)
+        with pytest.raises(ValueError, match="does not fit any ground size"):
+            df.format_element_set(word)
 
 
 class TestFamily:
@@ -466,44 +471,13 @@ class TestQuadrupleFree:
 
     def test_transform_path_matches_scan(self):
         # 512 members at n = 10 outnumber the nonzero differences, so the
-        # pigeonhole exit decides it; TestWideGroundTransform covers the transform
+        # pigeonhole exit decides it; TestCollisionWitness covers the pair counts
         f = all_odd_family(10)
         assert df.is_quadruple_delta_free(f) == naive_quadruple_free(f.members)
 
-    @given(family_strategy(max_n=8))
-    def test_counts_witness_matches_pair_scan(self, f):
-        expected = _first_pair_collision(f, operator.xor)
-        assert expected == naive_quadruple_collision(f.members)
-        assert _quadruple_from_counts(f) == expected
-
-    @pytest.mark.parametrize("n", range(3, 9))
-    def test_counts_witness_matches_pair_scan_dense(self, n):
-        rng = random.Random(n)
-        for density in (0.05, 0.1, 0.2, 0.5, 0.9):
-            f = df.Family(n, [w for w in range(1 << n) if rng.random() < density])
-            expected = _first_pair_collision(f, operator.xor)
-            assert expected == naive_quadruple_collision(f.members)
-            assert _quadruple_from_counts(f) == expected
-
-    @pytest.mark.parametrize("n", [10, 11, 12, 13])
-    def test_maximum_family_witness_matches_pair_scan(self, n):
-        # 2^(n-1) members: the witness comes from the pair counts
-        f = df.generate_family(df.Generator(n, random.Random(n).randrange((1 << n) - 1)))
-        assert not _scan_is_cheaper(f, 32)
-        assert df.find_quadruple_collision(f) == _first_pair_collision(f, operator.xor)
-
-    @pytest.mark.parametrize("n", [10, 12, 16])
-    def test_witness_matches_pair_scan_across_size_cutoff(self, n):
-        rng = random.Random(n)
-        cutoff = max(32, 1 << (n - 2) // 2)  # the last size that is pair-scanned
-        for m in (cutoff, cutoff + 1, 2 * cutoff):
-            f = df.Family(n, rng.sample(range(1 << n), m))
-            assert _scan_is_cheaper(f, 32) == (m == cutoff)
-            assert df.find_quadruple_collision(f) == _first_pair_collision(f, operator.xor)
-
     @pytest.mark.parametrize("seed", range(3))
     def test_witness_matches_naive_oracle_free_and_not(self, seed):
-        # at most 32 members: the pair-scan witness
+        # at most 48 members: the all-pairs scan
         words = _greedy_pair_free_words(random.Random(seed), 20, 30, operator.xor)
         free = df.Family(20, words)
         spoiled = df.Family(20, words + [words[0] ^ words[1] ^ words[2]])
@@ -559,6 +533,107 @@ class TestUnionFree:
         for words in itertools.combinations(range(16), size):
             f = df.Family(4, words)
             assert df.is_union_free(f) == naive_union_free(words)
+
+
+# Each pair-collision definition: its witness and the naive oracle.
+_COLLISIONS = {
+    "quadruple": (df.find_quadruple_collision, naive_quadruple_collision),
+    "union": (df.find_union_collision, naive_union_collision),
+}
+
+
+def _by_both_paths(find, f: df.Family) -> list:
+    """The witness by the pair scan and by the pair counts, whatever the size."""
+    out = []
+    for cheaper in (True, False):
+        with mock.patch.object(core, "_scan_is_cheaper", return_value=cheaper):
+            out.append(find(f))
+    return out
+
+
+@pytest.mark.parametrize("definition", sorted(_COLLISIONS))
+class TestCollisionWitness:
+    """The one engine behind both collision witnesses: a numpy pass over all
+    pair values while ``_scan_is_cheaper`` holds, the pair counts past it.
+    Both routes must give the naive oracle's first collision."""
+
+    @given(f=family_strategy(max_n=8))
+    def test_both_paths_match_naive_oracle(self, definition, f):
+        find, naive = _COLLISIONS[definition]
+        want = naive(f.members)
+        assert _by_both_paths(find, f) == [want, want]
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_both_paths_match_naive_oracle_dense(self, definition, n):
+        find, naive = _COLLISIONS[definition]
+        rng = random.Random(n)
+        for density in (0.05, 0.1, 0.2, 0.5, 0.9):
+            f = df.Family(n, [w for w in range(1 << n) if rng.random() < density])
+            want = naive(f.members)
+            assert _by_both_paths(find, f) == [want, want]
+
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    def test_maximum_family_matches_naive_oracle(self, definition, n):
+        # 2^(n-1) members: the witness comes from the pair counts
+        find, naive = _COLLISIONS[definition]
+        f = df.generate_family(df.Generator(n, random.Random(n).randrange((1 << n) - 1)))
+        assert find(f) == naive(f.members)
+
+    def test_maximum_family_at_n13(self, definition):
+        # the naive oracle would hold all 8.4M pairs here; these witnesses are
+        # the ones an exhaustive pair scan gives
+        find, _ = _COLLISIONS[definition]
+        f = df.generate_family(df.Generator(13, random.Random(13).randrange((1 << 13) - 1)))
+        assert find(f) == {"quadruple": (2, 3, 4, 5), "union": (2, 5, 3, 4)}[definition]
+
+    @pytest.mark.parametrize("n", [10, 12, 16])
+    def test_matches_naive_oracle_across_size_cutoff(self, definition, n):
+        find, naive = _COLLISIONS[definition]
+        rng = random.Random(n)
+        cutoff = max(48, isqrt(1 << (n - 2)))  # the last size that is pair-scanned
+        for m in (cutoff, cutoff + 1, 2 * cutoff):
+            f = df.Family(n, rng.sample(range(1 << n), m))
+            assert _scan_is_cheaper(f) == (m == cutoff)
+            assert find(f) == naive(f.members)
+
+
+class TestUnionTwin:
+    """The union witness on hand-made families, by both paths.  Past the
+    cutoff a member w counts (w, w) among the pairs with union w, and the
+    second pair (C, D) starts at the least member from A on with a partner
+    other than through the A-B link."""
+
+    @pytest.mark.parametrize(
+        "words, witness",
+        [
+            ([1, 6, 7], (1, 6, 1, 7)),  # in A's row; the key 7 is a member
+            ([2, 5, 6], (2, 5, 5, 6)),  # in B's row
+            ([1, 3, 6], (1, 6, 3, 6)),  # between A and B
+            ([20, 42, 44, 50], (20, 42, 44, 50)),  # after B, partners of neither
+            ([1, 2, 3], (1, 2, 1, 3)),  # the key 3 is a member and partners all inside it
+            ([1, 3, 12, 14], (1, 14, 3, 12)),  # the key is the whole ground set
+            ([1, 3], None),  # 3 ordered pairs have union 3, one unordered pair
+        ],
+        ids=["a-row", "b-row", "between", "after-b", "key-member", "full-key", "nested"],
+    )
+    def test_hand_made_cases(self, words, witness):
+        f = df.Family(max(words).bit_length(), words)
+        assert naive_union_collision(words) == witness
+        assert _by_both_paths(df.find_union_collision, f) == [witness, witness]
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_whole_ground_set_key(self, n):
+        # the empty set, the whole ground set and 30 complement pairs of
+        # half-size words: (0, full) is the first pair that collides, and
+        # every member is a partner of that key
+        full = df.full_word(n)
+        halves = [w for w in range(1 << n) if w.bit_count() == n // 2 and w < full ^ w]
+        picked = random.Random(n).sample(halves, 30)
+        f = df.Family(n, [0, full] + picked + [full ^ w for w in picked])
+        assert not _scan_is_cheaper(f)
+        low = min(picked)
+        assert df.find_union_collision(f) == (0, full, low, full ^ low)
+        assert naive_union_collision(f.members) == (0, full, low, full ^ low)
 
 
 _NAIVE_FREE = {operator.xor: naive_quadruple_free, operator.or_: naive_union_free}
@@ -657,14 +732,30 @@ class TestWideGroundTransform:
 
     def test_n22_past_scan_cutoff_matches_naive_oracle(self):
         sidon = _sidon_family(1100)
-        assert not _scan_is_cheaper(sidon, 256)  # the transform decides these
+        assert not _scan_is_cheaper(sidon)  # the witnesses come from the pair counts
         a, b, c = sidon.members[:3]
         spoiled = df.Family(22, sidon.members + (a ^ b, a ^ b ^ c))
         for f in (sidon, spoiled):
             assert df.is_delta_free(f) == naive_delta_free(f.members)
             assert df.is_quadruple_delta_free(f) == naive_quadruple_free(f.members)
+            assert df.find_quadruple_collision(f) == naive_quadruple_collision(f.members)
         assert df.is_delta_free(sidon) and df.is_quadruple_delta_free(sidon)
         assert not df.is_quadruple_delta_free(spoiled)
+
+    def test_every_check_finishes_at_max_ground(self):
+        # A(s) plus the xor of its two least members violates all four
+        f = df.generate_family(df.Generator(df.MAX_GROUND, 0b1011))
+        spoiler = f._arr[0] ^ f._arr[1]
+        f = df.Family(df.MAX_GROUND, np.insert(f._arr, f._arr.searchsorted(spoiler), spoiler))
+        combines = {"quadruple": operator.xor, "union": operator.or_}
+        for name, find in core._CHECKS.items():
+            witness = find(f)
+            if name in combines:
+                assert _valid_collision(f, witness, combines[name]), name
+            else:
+                a, b = witness
+                assert a <= b and a in f and b in f
+                assert ((a ^ b) in f) == (name == "pairwise")
 
     def test_all_even_family_at_n21_is_closed(self):
         # x -> x ^ (x << 1) maps the 2^20 words below 2^20 one-to-one onto
@@ -698,6 +789,14 @@ def _gl_sample(n: int, seed: int, size: int, kind: str) -> tuple[df.Family, list
     return df.Family(n, words), random_gl(rng, n)
 
 
+def _valid_collision(g: df.Family, witness, combine=operator.xor) -> bool:
+    """(A, B, C, D) are members, A < B, C < D, the pairs differ and share
+    their ``combine`` value."""
+    a, b, c, d = witness
+    return (a < b and c < d and (a, b) != (c, d) and combine(a, b) == combine(c, d)
+            and all(w in g for w in witness))
+
+
 def _gl_check(f: df.Family, cols: list[int]) -> None:
     """The pairwise, closed and quadruple predicates agree on F and M F,
     pair counts move with M, and each witness, and its image under M, is a
@@ -708,10 +807,6 @@ def _gl_check(f: df.Family, cols: list[int]) -> None:
 
     def valid_pair(g, a, b, present):
         return a <= b and a in g and b in g and (a ^ b in g) == present
-
-    def valid_quadruple(g, a, b, c, d):
-        return (a < b and c < d and (a, b) != (c, d) and a ^ b == c ^ d
-                and all(w in g for w in (a, b, c, d)))
 
     moved = df.Family(f.n, image(*f.members))
     assert len(moved) == len(f)
@@ -726,9 +821,9 @@ def _gl_check(f: df.Family, cols: list[int]) -> None:
     wf, wm = df.find_quadruple_collision(f), df.find_quadruple_collision(moved)
     assert (wf is None) == (wm is None)
     if wf is not None:
-        assert valid_quadruple(f, *wf) and valid_quadruple(moved, *wm)
+        assert _valid_collision(f, wf) and _valid_collision(moved, wm)
         a, b, c, d = image(*wf)
-        assert valid_quadruple(moved, *sorted((a, b)), *sorted((c, d)))
+        assert _valid_collision(moved, (*sorted((a, b)), *sorted((c, d))))
     every = apply_gf2(cols, np.arange(1 << f.n, dtype=np.uint32))
     assert np.array_equal(df.xor_pair_counts(moved)[every], df.xor_pair_counts(f))
 
@@ -758,9 +853,47 @@ class TestGLInvariance:
 
     def test_n21_past_the_cutoff(self):
         f, cols = _gl_sample(21, 23, 1000, "odd")
-        assert not _scan_is_cheaper(f) and not _scan_is_cheaper(f, 256)
+        assert not _scan_is_cheaper(f)
         assert not df.is_delta_free(f)  # the spoiler gives witnesses to map
         _gl_check(f, cols)
+
+    def test_union_witness_past_the_cutoff_moves_off_the_image(self):
+        # union freeness is only S_n-invariant: a general M does not carry the
+        # witness along, and on both sides it must be the naive oracle's
+        f, cols = _gl_sample(10, 5, 100, "any")
+        moved = df.Family(10, apply_gf2(cols, f._arr))
+        assert not _scan_is_cheaper(f) and not _scan_is_cheaper(moved)
+        wf, wm = df.find_union_collision(f), df.find_union_collision(moved)
+        assert wf == naive_union_collision(f.members)
+        assert wm == naive_union_collision(moved.members)
+        a, b, c, d = (int(w) for w in apply_gf2(cols, np.array(wf, dtype=np.uint32)))
+        assert a | b != c | d
+
+
+class TestTranslationInvariance:
+    """x -> x ^ t keeps every difference, so quadruple freeness, unlike
+    pairwise freeness, is invariant under all of AGL(n, 2)."""
+
+    @given(
+        n=st.integers(min_value=2, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**32),
+        size=st.integers(min_value=0, max_value=1 << 9),
+        kind=st.sampled_from(["odd", "span", "any"]),
+    )
+    @example(n=10, seed=1, size=300, kind="odd")
+    @example(n=16, seed=4, size=600, kind="any")
+    def test_quadruple_under_translation(self, n, seed, size, kind):
+        f, _ = _gl_sample(n, seed, min(size, 1 << (n - 1)), kind)
+        t = random.Random(seed).randrange(1 << n)
+        moved = df.Family(n, f._arr ^ np.uint32(t))
+        free = df.is_quadruple_delta_free(f)
+        assert df.is_quadruple_delta_free(moved) == free
+        wf, wm = df.find_quadruple_collision(f), df.find_quadruple_collision(moved)
+        assert (wf is None) == (wm is None) == free
+        if wf is not None:
+            assert _valid_collision(f, wf) and _valid_collision(moved, wm)
+            a, b, c, d = (w ^ t for w in wf)
+            assert _valid_collision(moved, (*sorted((a, b)), *sorted((c, d))))
 
 
 class TestAllOddFamily:

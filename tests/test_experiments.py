@@ -70,6 +70,15 @@ class TestRandomFamily:
         with pytest.raises(ValueError):
             df.random_family(3, 1.5, 0, 0)
 
+    @pytest.mark.parametrize(
+        "name, seed, trial",
+        [("seed", 1.5, 0), ("seed", True, 0), ("seed", "1", 0),
+         ("trial_index", 0, 1.5), ("trial_index", 0, False)],
+    )
+    def test_seed_and_trial_index_must_be_ints(self, name, seed, trial):
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+            df.random_family(3, 0.5, seed, trial)
+
 
 SEEDS_AND_TRIALS = [
     (0, 0), (1, 1), (7, 3), (2024, 1999), (2**32 + 5, 17), (2**63, 0),
