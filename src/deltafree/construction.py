@@ -11,7 +11,9 @@ tests compare it with.
 
 Recognition needs no rebuild: the singletons in the family of ``s`` are
 exactly the elements of ``s``, and 2^(n-1) words with odd trace against a
-nonempty ``s`` are all the words of that family.
+nonempty ``s`` are all the words of that family.  ``core._maximum_form``
+reads ``s`` off that way, for :func:`recognize_generator` and for the
+delta-free check, which it spares the pair counts on a maximum family.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Family, full_word, is_delta_free, validate_word
+from .core import Family, _maximum_form, full_word, is_delta_free, validate_word
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,19 +77,20 @@ def generate_family(gen: Generator) -> Family:
 def recognize_generator(family: Family) -> Generator | None:
     """The Generator whose family equals ``family`` exactly, if one exists.
 
-    One vectorized pass: ``s`` is the union of the singleton members, and
-    the answer is ``Generator(n, ground \\ s)`` iff the family has 2^(n-1)
-    members, ``s`` is nonempty and every member has odd trace against ``s``.
+    ``core._maximum_form`` finds the ``s`` with ``family`` equal to A(s)
+    (the union of the singleton members, checked in one vectorized pass),
+    and the answer is ``Generator(n, ground \\ s)``.
     """
-    m = family._arr
-    if m.size != 1 << (family.n - 1):
-        return None
-    s = int(np.bitwise_or.reduce(m[(m & (m - 1)) == 0]))
-    if not (np.bitwise_count(m & np.uint32(s)) & 1).all():  # also refuses s = 0
+    s = _maximum_form(family)
+    if s is None:
         return None
     return Generator(family.n, full_word(family.n) ^ s)
 
 
 def is_maximum_family(family: Family) -> bool:
-    """True iff the family is delta-free and of the largest possible size."""
+    """True iff the family is delta-free and of the largest possible size.
+
+    Such a family is some A(s), so the delta-free check certifies it by
+    that form in one pass over the members and no pair counts.
+    """
     return len(family) == 1 << (family.n - 1) and is_delta_free(family)

@@ -16,10 +16,13 @@ from two Walsh transforms, exact although the second one's partial sums
 arithmetic yields the true result modulo 2^64, and that result
 2^n * counts[w] <= 2^48 lies below 2^63.  The pairwise and closure checks
 are their witness finders (``is_*`` is ``find_* is None``), which settle
-the empty set first.  Quadruple (xor) and union (or) are one engine over
-the combine op: a pigeonhole exit and ``_first_repeat``, the incremental
-scan the survival sweep runs too, decide the predicate; the witness reads
-the xor or the union (OR-convolution) pair counts.
+the empty set first.  Past the cutoff a maximum family, some A(s) (the
+words at odd trace against s), is pairwise free by that linear form,
+which ``_maximum_form`` reads off its singletons and checks in one O(m)
+pass, so no pair counts are needed.  Quadruple (xor) and union (or) are
+one engine over the combine op: a pigeonhole exit and ``_first_repeat``,
+the incremental scan the survival sweep runs too, decide the predicate;
+the witness reads the xor or the union (OR-convolution) pair counts.
 """
 
 from __future__ import annotations
@@ -264,10 +267,39 @@ def _first_member_pair(family: Family, present: bool) -> tuple[int, int] | None:
     return (int(a), int(m[i + hit[0]]))
 
 
+#: The singleton words {1}, ..., {MAX_GROUND}.
+_SINGLETONS = np.left_shift(np.uint32(1), np.arange(MAX_GROUND, dtype=np.uint32))
+
+
+def _maximum_form(family: Family) -> int | None:
+    """The s with ``family`` equal to A(s), the 2^(n-1) words at odd trace
+    against s, or None.
+
+    The singletons in A(s) are the elements of s, so s is the union of the
+    singleton members, found by one binary search per bit; a family of
+    2^(n-1) words all at odd trace against it is A(s), and so delta-free:
+    every A xor B has even trace.  s = 0 puts no word at odd trace.
+    """
+    n, m = family.n, family._arr
+    if m.size != 1 << (n - 1):
+        return None
+    bits = _SINGLETONS[:n]
+    s = np.bitwise_or.reduce(bits[m.take(m.searchsorted(bits), mode="clip") == bits])
+    if not (np.bitwise_count(m & s) & 1).all():
+        return None
+    return int(s)
+
+
 def find_delta_violation(family: Family) -> tuple[int, int] | None:
-    """The lexicographically first member pair (A, B) with A xor B a member."""
+    """The lexicographically first member pair (A, B) with A xor B a member.
+
+    Past ``_scan_is_cheaper`` a maximum family is certified free by its
+    form (``_maximum_form``) with no pair counts; the rest take the counts.
+    """
     if family._arr.size and family._arr[0] == 0:  # the empty set is A xor A
         return (0, 0)
+    if not _scan_is_cheaper(family) and _maximum_form(family) is not None:
+        return None
     return _first_member_pair(family, True)
 
 

@@ -33,6 +33,7 @@ from conftest import (
     naive_union_free,
     parity_census,
     random_gl,
+    solve_gf2,
 )
 
 
@@ -301,6 +302,15 @@ class TestDeltaFree:
         assert df.is_delta_closed(evens22) == naive_delta_closed(evens22.members)
 
 
+def _refuse_pair_counts(monkeypatch) -> None:
+    """Make every ``xor_pair_counts`` call fail the test."""
+
+    def refuse(family):
+        raise AssertionError("xor_pair_counts called")
+
+    monkeypatch.setattr(df.core, "xor_pair_counts", refuse)
+
+
 class TestDeltaClosed:
     def test_all_even_family_is_closed(self):
         for n in range(1, 8):
@@ -344,11 +354,7 @@ class TestDeltaClosed:
 
     def test_no_pair_counts_without_the_empty_set(self, monkeypatch):
         f = df.generate_family(df.Generator(18, 0b101))
-
-        def refuse(family):
-            raise AssertionError("xor_pair_counts called")
-
-        monkeypatch.setattr(df.core, "xor_pair_counts", refuse)
+        _refuse_pair_counts(monkeypatch)
         low = int(f._arr[0])
         assert df.find_closure_violation(f) == (low, low)
         assert not df.is_delta_closed(f)
@@ -416,11 +422,88 @@ class TestMemberPairWitnesses:
         assert any(w and w[0] != f._arr[0] and w[1] != w[0] for f, w in zip(families, witnesses))
 
     @pytest.mark.parametrize("n", [21, 24])
-    def test_maximum_family(self, n):
+    def test_maximum_family(self, n, monkeypatch):
+        # the form certifies A(s) and closure fails at (m0, m0):
+        # neither needs the pair counts
         f = df.generate_family(df.Generator(n, 0b1011))
+        _refuse_pair_counts(monkeypatch)
         low = int(f._arr[0])
         assert df.find_delta_violation(f) is None
+        assert df.is_delta_free(f) and df.is_maximum_family(f)
         assert df.find_closure_violation(f) == (low, low)
+
+
+def _greedy_cap(n: int, rng: random.Random) -> df.Family:
+    """The random greedy delta-free family: the nonzero words in random
+    order, each kept unless it is the xor of two kept words (or of a kept
+    word with itself).  The result is complete: no word can be added."""
+    kept: list[int] = []
+    forbidden = {0}
+    for x in rng.sample(range(1, 1 << n), (1 << n) - 1):
+        if x not in forbidden:
+            kept.append(x)
+            forbidden.update(x ^ w for w in kept)
+    return df.Family(n, kept)
+
+
+class TestMaximumForm:
+    """``core._maximum_form``: the s with F = A(s), which certifies
+    delta-freeness without the pair counts, or None."""
+
+    def test_matches_brute_force(self):
+        # A(s) itself, A(s) with one word swapped, random 2^(n-1) words, and
+        # families one word smaller or larger; the oracle is every s
+        rng = random.Random(30)
+        found = 0
+        for _ in range(600):
+            n = rng.randint(1, 8)
+            s = rng.randrange(1, 1 << n)
+            words = df.generate_family(df.Generator(n, df.full_word(n) ^ s)).members
+            kind = rng.choice(["whole", "swapped", "random", "resized"])
+            if kind == "swapped":
+                out = [w for w in range(1 << n) if w not in words]
+                words = list(words)
+                words[rng.randrange(len(words))] = rng.choice(out)
+            elif kind == "random":
+                words = rng.sample(range(1 << n), len(words))
+            elif kind == "resized":
+                words = rng.sample(range(1 << n), len(words) + rng.choice([-1, 1]))
+            f = df.Family(n, words)
+            forms = [s for s in range(1, 1 << n) if f.members == tuple(
+                w for w in range(1 << n) if (w & s).bit_count() & 1)]
+            assert core._maximum_form(f) == (forms[0] if forms else None)
+            found += bool(forms)
+        assert 150 < found < 300
+
+    def test_full_oversized_and_empty_families(self):
+        f = df.generate_family(df.Generator(10, 0b11))
+        spare = next(w for w in range(1, 1 << 10) if w not in f)
+        assert core._maximum_form(f) == df.full_word(10) ^ 0b11
+        assert core._maximum_form(df.Family(10, f.members + (spare,))) is None
+        assert core._maximum_form(df.Family(10, f.members[1:])) is None
+        assert core._maximum_form(df.Family(10)) is None
+        assert core._maximum_form(df.Family(1, [1])) == 1
+        assert core._maximum_form(df.Family(1, [0])) is None
+
+    @pytest.mark.parametrize("n", range(8, 13))
+    def test_free_families_in_no_form_take_the_transform(self, n, monkeypatch):
+        # complete caps smaller than 2^(n-1) are no A(s), so the pair
+        # counts still answer them past the cutoff
+        rng = random.Random(n)
+        caps = []
+        while len(caps) < 3:
+            f = _greedy_cap(n, rng)
+            if len(f) > 48 and len(f) < 1 << (n - 1):
+                caps.append(f)
+        calls = []
+        transform = df.core.xor_pair_counts
+        monkeypatch.setattr(df.core, "xor_pair_counts", lambda f: calls.append(f) or transform(f))
+        for f in caps:
+            assert not _scan_is_cheaper(f)
+            assert core._maximum_form(f) is None
+            assert naive_delta_violation(f.members) is None
+            assert df.find_delta_violation(f) is None
+        assert calls == caps
 
 
 class TestQuadrupleFree:
@@ -799,7 +882,7 @@ def _valid_collision(g: df.Family, witness, combine=operator.xor) -> bool:
 
 def _gl_check(f: df.Family, cols: list[int]) -> None:
     """The pairwise, closed and quadruple predicates agree on F and M F,
-    pair counts move with M, and each witness, and its image under M, is a
+    M maps a maximum family A(s) to one, pair counts move with M, and each witness, and its image under M, is a
     valid violation in its family."""
 
     def image(*words):
@@ -810,6 +893,11 @@ def _gl_check(f: df.Family, cols: list[int]) -> None:
 
     moved = df.Family(f.n, image(*f.members))
     assert len(moved) == len(f)
+    form = core._maximum_form(f)
+    if form is None:
+        assert core._maximum_form(moved) is None
+    else:  # <M x, t> = <x, M^T t> = <x, s>, so M A(s) = A(t)
+        assert core._maximum_form(moved) == solve_gf2(cols, form, f.n)
     for pred in (df.is_delta_free, df.is_delta_closed, df.is_quadruple_delta_free):
         assert pred(moved) == pred(f)
     for find, present in ((df.find_delta_violation, True), (df.find_closure_violation, False)):
@@ -842,6 +930,7 @@ class TestGLInvariance:
     @example(n=10, seed=1, size=20, kind="odd")
     @example(n=10, seed=1, size=300, kind="odd")
     @example(n=10, seed=7, size=300, kind="odd")
+    @example(n=10, seed=1, size=512, kind="odd")
     @example(n=10, seed=2, size=16, kind="span")
     @example(n=10, seed=2, size=128, kind="span")
     @example(n=10, seed=3, size=128, kind="span")
