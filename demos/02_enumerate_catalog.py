@@ -5,7 +5,10 @@ The search knows nothing about defining sets: it is a DFS over candidate
 subsets, pruned by a count bound and a covering bound.  Comparing its
 output against the construction is the completeness check, and canonical
 forms under relabeling give the isomorphism census (2^n - 1 families
-falling into n classes, one per defining-set size).
+falling into n classes, one per defining-set size).  Completeness comes
+from the search alone; the class sizes C(n, |s|) then follow from the
+form of each family, since canonical_form sends A(s) to A(2^|s| - 1)
+without a relabeling search.
 """
 
 import deltafree as df

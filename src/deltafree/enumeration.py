@@ -36,6 +36,14 @@ every unused element and keeps all those whose new block of flags is
 greatest.  Keeping every tie makes the result exact without visiting the
 n! relabelings one by one.
 
+A maximum family needs no search.  It is some A(s), the words at odd
+trace against s (``core._maximum_form`` finds s), and a relabeling π
+sends A(s) to A(πs), so its class is fixed by k = |s|.  The flag of word
+2^i in A(s) is bit i of s, and the flags of the words below 2^i depend
+only on the bits of s below i.  So among the s of weight k the greatest
+string comes from s = 2^k - 1, which wins at the first word 2^i whose bit
+it holds and another s lacks, and the form is A(2^k - 1).
+
 Symmetric families tie on many partial maps (all n! of them for a family
 invariant under every relabeling), so before a level with many branches
 (see ``_MERGE_WORK``) interchangeable survivors are merged.
@@ -57,12 +65,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import recognize_generator
-from .core import Family, validate_ground, xor_pair_counts
+from .construction import Generator, generate_family, recognize_generator
+from .core import Family, _maximum_form, full_word, validate_ground, xor_pair_counts
 
 _ENUM_MAX_GROUND = 7
 _CANONICAL_MAX_GROUND = 8
-# canonical_form merges interchangeable survivors before a level whose
+# _canonical_search merges interchangeable survivors before a level whose
 # branches (survivors times unused elements) times 2^n reach this: 128, 64
 # and 32 branches at n = 6, 7 and 8.  Timed on every census class at those
 # n, a lower value slows some class: a small merge costs more than the
@@ -178,15 +186,30 @@ def canonical_form(family: Family) -> Family:
 
     Relabelings keep the size, and of two equal-size families the one
     with the smaller sorted members holds the least word of their
-    symmetric difference; so the search (see the module docstring) looks
-    for the greatest membership string, keeping every tied partial map
-    up to the merge of interchangeable ones.
+    symmetric difference; so the least relabeling is the one with the
+    greatest membership string.  A maximum family A(s) relabels to A(πs),
+    the flag of word 2^i in A(s) is bit i of s and the flags below it
+    depend only on the lower bits, so of the s of weight k, s = 2^k - 1
+    gives the greatest string: the form is A(2^k - 1), read off with no
+    search.  Every other family takes the search (see the module
+    docstring), keeping every tied partial map up to the merge of
+    interchangeable ones.
     """
     n = family.n
     if n > _CANONICAL_MAX_GROUND:
         raise ValueError(f"canonical form supports n <= {_CANONICAL_MAX_GROUND}")
     if family._arr.size == 0:
         return family
+    s = _maximum_form(family)
+    if s is not None:
+        return generate_family(Generator(n, full_word(n) ^ ((1 << s.bit_count()) - 1)))
+    return _canonical_search(family)
+
+
+def _canonical_search(family: Family) -> Family:
+    """``canonical_form`` at n <= 8 by the tie-keeping search over partial
+    relabelings (see the module docstring), for any family."""
+    n = family.n
     ind = family.table_bits()
     # Per surviving partial map: the source word of each target word fixed
     # so far (every word fits a uint8 at n <= 8), and its unused elements.

@@ -152,19 +152,71 @@ class TestCanonicalForm:
     def test_ground_too_large(self):
         with pytest.raises(ValueError):
             df.canonical_form(df.Family(9, [1]))
+        # the cap comes before the closed form of a maximum family
+        with pytest.raises(ValueError):
+            df.canonical_form(df.generate_family(df.Generator(9, 0)))
+
+
+class TestCanonicalFormOfMaximumFamilies:
+    """A(s) goes to A(2^|s| - 1) with no search; other families search."""
+
+    @staticmethod
+    def a(n, s):
+        return df.generate_family(df.Generator(n, df.full_word(n) ^ s))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_closed_form_equals_search(self, n):
+        for s in range(1, 1 << n):
+            f = self.a(n, s)
+            form = self.a(n, (1 << s.bit_count()) - 1)
+            assert df.canonical_form(f) == form == enumeration._canonical_search(f)
+
+    def test_maximum_families_skip_the_search(self, monkeypatch):
+        def fail(family):
+            raise AssertionError("searched a maximum family")
+
+        monkeypatch.setattr(enumeration, "_canonical_search", fail)
+        forms = {df.canonical_form(self.a(8, s)) for s in range(1, 256)}
+        assert forms == {self.a(8, (1 << k) - 1) for k in range(1, 9)}
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_swapped_member_takes_the_search(self, n, monkeypatch):
+        # 2^(n-1) words, all but one in A(s); from n = 3 on two A(s) share
+        # at most 2^(n-2) words, so no swap gives a maximum family
+        searched = []
+        search = enumeration._canonical_search
+
+        def spy(family):
+            searched.append(family)
+            return search(family)
+
+        monkeypatch.setattr(enumeration, "_canonical_search", spy)
+        rng = random.Random(n)
+        for _ in range(8):
+            f = self.a(n, rng.randrange(1, 1 << n))
+            absent = np.flatnonzero(f.table_bits() == 0)
+            words = f._arr.copy()
+            words[rng.randrange(words.size)] = rng.choice(absent)
+            g = df.Family(n, words)
+            assert df.recognize_generator(g) is None
+            searched.clear()
+            assert df.canonical_form(g).members == naive_canonical_form(g).members
+            assert searched == [g]
 
 
 class TestCanonicalFormMatchesNaiveScan:
-    """The bit-by-bit search against the scan of all n! relabelings."""
+    """canonical_form and its bit-by-bit search against the scan of all n!
+    relabelings."""
 
     @staticmethod
-    def assert_matches(f):
-        assert df.canonical_form(f).members == naive_canonical_form(f).members
+    def assert_matches(f, canon=df.canonical_form):
+        assert canon(f).members == naive_canonical_form(f).members
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_every_generated_family(self, n):
         for f in generated_catalog(n):
             self.assert_matches(f)
+            self.assert_matches(f, enumeration._canonical_search)
 
     def test_one_generated_family_per_class_n8(self):
         # A(s)'s class depends only on |s|, and s = ground minus sc
@@ -185,11 +237,11 @@ class TestCanonicalFormMatchesNaiveScan:
         for n in range(1, 8):
             for layers in range(1 << (n + 1)):
                 words = [w for w in range(1 << n) if layers >> w.bit_count() & 1]
-                self.assert_matches(df.Family(n, words))
+                self.assert_matches(df.Family(n, words), enumeration._canonical_search)
 
     def test_all_odd_family_n8(self):
-        # the worst case: all 8! partial maps tie to the last level
-        self.assert_matches(all_odd_family(8))
+        # the worst case for the search: all 8! partial maps tie to the last level
+        self.assert_matches(all_odd_family(8), enumeration._canonical_search)
 
     @given(family_strategy(max_n=6))
     @example(df.Family(4, [1, 2, 4, 8, 3]))
@@ -200,13 +252,14 @@ class TestCanonicalFormMatchesNaiveScan:
         saved = enumeration._MERGE_WORK
         enumeration._MERGE_WORK = 0
         try:
-            self.assert_matches(f)
+            self.assert_matches(f, enumeration._canonical_search)
         finally:
             enumeration._MERGE_WORK = saved
 
 
 class TestCanonicalFormOfSymmetricFamilies:
-    """Families with many tied partial maps, where survivors merge."""
+    """Families with many tied partial maps, where survivors merge.  They
+    are maximum families, which ``canonical_form`` would not search."""
 
     @staticmethod
     def relabel(f, perm):
@@ -218,13 +271,14 @@ class TestCanonicalFormOfSymmetricFamilies:
         # A(s) for each |s| = n - k, the all-odd family among them (k = 0)
         families = [df.generate_family(df.Generator(n, (1 << k) - 1)) for k in range(n)]
         assert families[0] == all_odd_family(n)
+        search = enumeration._canonical_search
         for f in families:
-            form = df.canonical_form(f)
+            form = search(f)
             for _ in range(4):
                 perm = rng.sample(range(n), n)
-                assert df.canonical_form(self.relabel(f, perm)) == form
+                assert search(self.relabel(f, perm)) == form
         # each A(s) class has one form, and the forms separate the classes
-        assert len({df.canonical_form(f) for f in families}) == n
+        assert len({search(f) for f in families}) == n
 
     def test_all_odd_family_n8_memory(self):
         # without merging, all 8! tied partial maps reach the last level
@@ -232,7 +286,7 @@ class TestCanonicalFormOfSymmetricFamilies:
         f = all_odd_family(8)
         tracemalloc.start()
         try:
-            df.canonical_form(f)
+            enumeration._canonical_search(f)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
