@@ -18,7 +18,6 @@ import functools
 import json
 import os
 import sys
-from pathlib import Path
 
 from . import __version__
 from .construction import Generator, generate_family, recognize_generator
@@ -30,6 +29,7 @@ from .serialization import (
     INLINE_JSON_STYLE,
     LINES_STYLE,
     _framing,
+    _read_text,
     family_from_json,
     family_from_lines,
     format_element_set,
@@ -66,17 +66,27 @@ def _json_text(value: object, pad: str = "") -> str:
 
 
 def _load_family(path: str, n: int | None) -> Family:
+    """The family in the file at ``path``.  A file that starts as a writer's
+    does, with "{", a digit or "-", goes to its reader as a byte stream; any
+    other is decoded whole and is json if it starts with "{" past its
+    whitespace."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as file:
+            first = file.peek(1)[:1]
+            if first and first in b"{-0123456789":
+                source, is_json = file, first == b"{"
+            else:
+                source = _read_text(file)
+                is_json = source.lstrip().startswith("{")
+            if is_json:
+                family = family_from_json(source)
+                if n is not None and n != family.n:
+                    raise ValueError(f"--n {n} contradicts file ground size {family.n}")
+                return family
+            return family_from_lines(source, n)
+    # a UnicodeDecodeError is a ValueError: it must not reach the second clause
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
-    try:
-        if text.lstrip().startswith("{"):
-            family = family_from_json(text)
-            if n is not None and n != family.n:
-                raise ValueError(f"--n {n} contradicts file ground size {family.n}")
-            return family
-        return family_from_lines(text, n)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from None
 

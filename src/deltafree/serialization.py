@@ -12,21 +12,27 @@ Writers print each word as two entries of precomputed tables, one for its
 low 12 bits and one for the rest, gathered by numpy into one join, so no
 string is made per word and the text is copied once; a head and a tail let
 a caller print a family slice by slice.  Readers invert the writers, by
-one rule for both formats: they cut the text at set boundaries into blocks
-of about 2^18 characters, read each block's words with numpy, and accept
-the block only if ``render_text`` gives it back byte for byte; a json
-document must also have the writer's head and tail.  So the fast path takes
-each set exactly as the writer prints it, the sets in any order, and its
-memory beyond the text and the words is one block's worth.  Any other input
-(comments, blank lines, other spacing or layout, or anything invalid) is
+one rule for both formats, and take a seekable binary stream as well as a
+str.  They read the bytes in blocks of about 2^17, each cut after its last
+set and read after the partial set the last one left, into one workspace
+that every block and every read reuses; they read each block's words with
+numpy and accept the block only if ``render_text`` gives it back byte for
+byte; a json document must also have the writer's head and tail.  So the
+fast path takes each set exactly as the writer prints it, the sets in any
+order, and its memory beyond the words is the workspace, about 1 MiB; a
+str is never copied whole.  Any other input (comments, blank lines, other
+spacing or layout, CR LF line ends, an empty json family, or anything
+invalid) is decoded whole, as ``Path.read_text`` would decode the file, and
 parsed set by set, with the same results and error messages.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 import json
 import re
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -47,9 +53,13 @@ _JSON_SET_STYLE = (",\n      ", "\n      ", "\n    ", "")
 # _JSON_SEP, and _SETS_CLOSE; then the tail.
 _HEAD_TO_N = '{\n  "format": ' + json.dumps(FORMAT_TAG) + ',\n  "n": '
 _HEAD_AFTER_N = ',\n  "sets": ['
-_HEAD_PATTERN = re.compile(re.escape(_HEAD_TO_N) + "([1-9][0-9]*)" + re.escape(_HEAD_AFTER_N))
 _JSON_TAIL = "]\n}\n"
 _SETS_OPEN, _JSON_SEP, _SETS_CLOSE = "\n    [", "],\n    [", "]\n  "
+# What the fast reader takes around the sets of a family with at least one.
+_HEAD_PATTERN = re.compile(
+    re.escape(_HEAD_TO_N.encode()) + rb"([1-9][0-9]*)" + re.escape((_HEAD_AFTER_N + _SETS_OPEN).encode())
+)
+_JSON_END = (_SETS_CLOSE + _JSON_TAIL).encode()
 
 _HALF_BITS = 12
 _HALF_MASK = (1 << _HALF_BITS) - 1
@@ -110,9 +120,12 @@ def family_to_json(family: Family) -> str:
     return render_text(family._arr, *_framing(family, "json"))
 
 
-# Readers cut files into blocks of whole sets of about this many characters,
-# so that their temporaries stay bounded however large the file.
-_BLOCK_CHARS = 1 << 18
+# Readers cut files into blocks of whole sets of about this many bytes, so
+# that their memory stays bounded however large the file.
+_BLOCK_CHARS = 1 << 17
+# The most bytes a block may pass to the next: at n = 24 the json head and
+# the longest set come to about 300.
+_CARRY_MAX = 1 << 10
 
 
 @functools.cache
@@ -129,53 +142,196 @@ def _pair_bits() -> np.ndarray:
     return table.ravel()
 
 
-def _read_words(text: str, start: int, stop: int, style: _Style, between: str) -> np.ndarray | None:
-    """The words of text[start:stop] if ``render_text(words, style, between)``
-    prints it exactly; None for any other text.
+class _TextBytes:
+    """A str read as a binary stream, one byte a character: a character
+    outside ASCII reads as "?".  Only a slice is ever encoded at once."""
 
-    The text is cut at ``between`` into blocks of about _BLOCK_CHARS.  In a
-    block, each run of digits reads as the element its first two digits
-    spell, in the set between the ``between[0]`` bytes around it; that byte
-    occurs once in ``between`` and in no rendered set.  Text that this
-    misreads renders differently, so the render check alone decides what is
-    accepted.
-    """
-    pad = between[0]
-    blocks = []
-    while True:
-        cut = text.find(between, start + _BLOCK_CHARS, stop)
-        block = text[start : cut if cut >= 0 else stop]
-        # one byte a character: a non-ASCII one reads as "?" and fails the check
-        buf = np.frombuffer(f"{pad}{block}{pad}".encode("ascii", "replace"), dtype=np.uint8)
-        is_digit = buf - np.uint8(ord("0")) < 10
-        before = np.flatnonzero(is_digit[1:] > is_digit[:-1])  # the byte before each run
-        pair = np.left_shift(buf[1:][before], 8, dtype=np.uint16)
-        pair |= buf[2:][before]
-        sums = np.zeros(before.size + 1, dtype=np.uint32)  # wraps modulo 2^32: still exact
-        np.cumsum(_pair_bits().take(pair), out=sums[1:])
-        # the runs before a pad byte are those whose byte before lies before it
-        words = np.diff(sums[np.searchsorted(before, np.flatnonzero(buf == ord(pad)))])
-        # repeated elements can sum past 2^24, which render_text refuses
-        if words.max() >> MAX_GROUND or render_text(words, style, between) != block:
+    def __init__(self, text: str) -> None:
+        self._text, self._at = text, 0
+
+    def readinto(self, view: memoryview) -> int:
+        chunk = self._text[self._at : self._at + len(view)].encode("ascii", "replace")
+        view[: len(chunk)] = chunk
+        self._at += len(chunk)
+        return len(chunk)
+
+
+class _Workspace:
+    """Where readers read blocks: a byte buffer that takes up to ``block``
+    bytes after a pad byte and the carried partial set, and the arrays that
+    read a block's words, each allocated for the largest block and written
+    with ``out=``.  Reads take one from ``_SPARE`` and put it back, so after
+    the first read the blocks of a file touch no fresh pages."""
+
+    def __init__(self, block: int) -> None:
+        self.block = block
+        size = block + _CARRY_MAX + 16
+        most = size // 2 + 1  # the runs of digits, or pad bytes, a block may hold
+        self.buf = np.empty(size, dtype=np.uint8)
+        self.digit, self.mask = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+        self.byte, self.pair = np.empty(most, dtype=np.uint8), np.empty(most, dtype=np.uint16)
+        self.sums, self.ends = np.zeros(most + 1, dtype=np.uint32), np.empty(most, dtype=np.uint32)
+
+    def ends_at_pads(self, pad: int, start: int, stop: int) -> np.ndarray | None:
+        """For each ``pad`` byte of buf[start - 1 : stop + 1] (those at
+        start - 1 and at stop are two), the running sum of the element bits
+        that the runs of digits before it spell; None if there are more than
+        a rendered block has.  Each run reads as the element its first two
+        digits spell, so the words are the steps of the sums; the pad byte
+        occurs once in ``between`` and in no rendered set."""
+        lo, hi = start - 1, stop + 1
+        buf, digit, mask = self.buf[lo:hi], self.digit[lo:hi], self.mask[lo:hi]
+        np.less(np.subtract(buf, ord("0"), out=mask.view(np.uint8)), 10, out=digit)
+        np.greater(digit[1:], digit[:-1], out=mask[1:])
+        before = np.flatnonzero(mask[1:])  # the byte before each run
+        byte, pair, sums = self.byte[: before.size], self.pair[: before.size], self.sums[: before.size + 1]
+        # every index is in range; mode="raise" would copy ``out`` first
+        np.left_shift(buf[1:].take(before, out=byte, mode="clip"), 8, out=pair, dtype=np.uint16)
+        pair |= buf[2:].take(before, out=byte, mode="clip")
+        bits = _pair_bits().take(pair, out=sums[1:], mode="clip")
+        np.cumsum(bits, out=bits)  # wraps modulo 2^32: still exact
+        pads = np.flatnonzero(np.equal(buf, pad, out=digit))
+        if pads.size > self.ends.size:
             return None
-        blocks.append(words)
-        if cut < 0:
-            return np.concatenate(blocks)
-        start = cut + len(between)
+        # the runs before a pad byte are those whose byte before lies before it
+        return sums.take(np.searchsorted(before, pads), out=self.ends[: pads.size], mode="clip")
 
 
-def family_from_lines(text: str, n: int | None = None) -> Family:
-    """Parse lines format; ``n`` defaults to the largest element present.
-    The fast path takes lines that each print a set as the writer does, in
-    any order, with or without the final newline."""
-    words = _read_words(text, 0, len(text) - text.endswith("\n"), LINES_STYLE, "\n")
-    if words is not None:
-        ground = n if n is not None else max(1, int(words.max(initial=0)).bit_length())
+_SPARE: list[_Workspace] = []  # workspaces that no read is using
+
+
+def _read_blocks(
+    stream: BinaryIO,
+    style: _Style,
+    between: str,
+    head: re.Pattern[bytes] = re.compile(b""),
+    tail: bytes = b"",
+) -> tuple[np.ndarray, re.Match[bytes]] | None:
+    """The words and the head of ``stream``'s bytes if they are a ``head``
+    match, then ``render_text(words, style, between)``, then ``tail``; with
+    no tail, one more ``between`` may end them.  None for any other bytes.
+
+    Blocks are read into a workspace after the partial set that the last
+    block left, and cut after their last ``between``.  A block is taken only
+    if its words render back to it byte for byte, so that check alone decides
+    what is accepted, wherever the cuts fall.  The words go to an array that
+    doubles when full.
+    """
+    try:
+        space = _SPARE.pop()
+    except IndexError:  # the first read, or one alongside another
+        space = None
+    if space is None or space.block != _BLOCK_CHARS:
+        space = _Workspace(_BLOCK_CHARS)
+    try:
+        return _read_into(space, stream, style, between, head, tail)
+    finally:
+        _SPARE.append(space)
+
+
+def _read_into(
+    space: _Workspace, stream: BinaryIO, style: _Style, between: str, head: re.Pattern[bytes], tail: bytes
+) -> tuple[np.ndarray, re.Match[bytes]] | None:
+    """``_read_blocks`` in ``space``."""
+    pad, sep = ord(between[0]), between.encode("ascii")
+    buf, view = space.buf, memoryview(space.buf)
+    buf[0] = pad
+    words, count = np.empty(0, dtype=np.uint32), 0
+    found, carry = None, 0
+    while True:
+        stop, full = 1 + carry, 1 + carry + space.block
+        while stop < full and (read := stream.readinto(view[stop:full])):
+            stop += read
+        if stop == full:
+            # a rendered block has a ``between`` in every _CARRY_MAX bytes
+            window = max(1, stop - _CARRY_MAX - len(sep))
+            cut = buf[window:stop].tobytes().rfind(sep)
+            if cut < 0:
+                if window > 1:
+                    return None
+                carry = stop - 1
+                continue
+            cut += window
+        else:
+            cut = stop - len(tail)
+            if cut < 1 or buf[cut:stop].tobytes() != tail:
+                return None
+            if not tail:  # one more ``between`` may end the bytes
+                if cut == 1 and count:
+                    return words[:count], found  # the last cut was at it
+                if cut > len(sep) and buf[cut - len(sep) : cut].tobytes() == sep:
+                    cut -= len(sep)
+            buf[cut] = pad
+        start = 1
+        if found is None:
+            found = head.match(buf[1:cut].tobytes())
+            if found is None:
+                return None
+            start += found.end()
+            buf[start - 1] = pad
+        ends = space.ends_at_pads(pad, start, cut)
+        if ends is None:
+            return None
+        if count + ends.size - 1 > words.size:
+            grown = np.empty(max(count + ends.size - 1, 2 * words.size), dtype=np.uint32)
+            grown[:count] = words[:count]
+            words = grown
+        new = np.subtract(ends[1:], ends[:-1], out=words[count : count + ends.size - 1])
+        # repeated elements can sum past 2^24, which render_text refuses
+        if new.max() >> MAX_GROUND:
+            return None
+        if render_text(new, style, between).encode("ascii") != buf[start:cut].tobytes():
+            return None
+        count += new.size
+        if stop < full:
+            return words[:count], found
+        carry = stop - cut - len(sep)
+        buf[1 : 1 + carry] = buf[stop - carry : stop]
+
+
+def _fast_or_text(source: str | BinaryIO, fast: Callable[[BinaryIO], Family | None]) -> Family | str:
+    """``fast`` of ``source`` read as bytes, or where it gives None, the text
+    of ``source``: ``source`` itself if a str, else the stream decoded from
+    where it stood."""
+    if isinstance(source, str):
+        family = fast(_TextBytes(source))
+        return source if family is None else family
+    start = source.tell()
+    family = fast(source)
+    if family is not None:
+        return family
+    source.seek(start)
+    return _read_text(source)
+
+
+def _read_text(stream: BinaryIO) -> str:
+    """The rest of ``stream`` decoded as ``Path.read_text`` decodes a file:
+    UTF-8, universal newlines, one decode of all the bytes."""
+    text = io.TextIOWrapper(stream, encoding="utf-8")
+    try:
+        return text.read()
+    finally:
+        text.detach()  # the caller closes the stream
+
+
+def family_from_lines(source: str | BinaryIO, n: int | None = None) -> Family:
+    """Parse lines format from a str or a seekable binary stream; ``n``
+    defaults to the largest element present.  The fast path takes lines
+    that each print a set as the writer does, in any order, with or without
+    the final newline."""
+
+    def fast(stream: BinaryIO) -> Family | None:
+        found = _read_blocks(stream, LINES_STYLE, "\n")
+        if found is None:
+            return None
+        words = found[0]
         try:
-            return Family(ground, words)
+            return Family(n if n is not None else max(1, int(words.max()).bit_length()), words)
         except ValueError:
-            pass  # a bad ground size or an element above it: reported below
-    return _parse_lines(text, n)
+            return None  # a bad ground size or an element above it: reported below
+
+    family = _fast_or_text(source, fast)
+    return family if isinstance(family, Family) else _parse_lines(family, n)
 
 
 def _parse_lines(text: str, n: int | None) -> Family:
@@ -210,32 +366,27 @@ def _family_of_sets(n: int, sets: list[tuple[int, ...]]) -> Family:
     return Family(n, words)
 
 
-def _layout_json(text: str) -> Family | None:
-    """The family of a document in the writer's exact layout; None for
-    any other text, or for a ground size or element the family refuses."""
-    head = _HEAD_PATTERN.match(text)
-    if head is None or not text.endswith(_JSON_TAIL):
+def _layout_json(stream: BinaryIO) -> Family | None:
+    """The family of a document in the writer's exact layout with at least
+    one set; None for any other bytes, or for a ground size or element the
+    family refuses."""
+    found = _read_blocks(stream, _JSON_SET_STYLE, _JSON_SEP, _HEAD_PATTERN, _JSON_END)
+    if found is None:
         return None
-    start, stop = head.end(), len(text) - len(_JSON_TAIL)
-    words = np.zeros(0, dtype=np.uint32) if start == stop else None
-    if text.startswith(_SETS_OPEN, start, stop) and text.endswith(_SETS_CLOSE, start, stop):
-        # no byte of _SETS_OPEN is "]", so the two do not overlap
-        start, stop = start + len(_SETS_OPEN), stop - len(_SETS_CLOSE)
-        words = _read_words(text, start, stop, _JSON_SET_STYLE, _JSON_SEP)
-    if words is None:
-        return None
+    words, head = found
     try:
         return Family(int(head.group(1)), words)
     except ValueError:
         return None  # a bad ground size or an element above it: reported below
 
 
-def family_from_json(text: str) -> Family:
-    """Parse a json document.  The fast path takes the writer's head and
-    tail and, between them, sets printed as the writer does, in any order."""
-    family = _layout_json(text)
-    if family is not None:
-        return family
+def family_from_json(source: str | BinaryIO) -> Family:
+    """Parse a json document from a str or a seekable binary stream.  The
+    fast path takes the writer's head and tail and, between them, sets
+    printed as the writer does, in any order."""
+    text = _fast_or_text(source, _layout_json)
+    if isinstance(text, Family):
+        return text
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -15,7 +15,7 @@ import pytest
 
 import deltafree as df
 from deltafree.cli import build_parser, main
-from conftest import all_odd_family, oracle_cli_json, oracle_set_lists
+from conftest import all_odd_family, oracle_cli_json, oracle_from_json, oracle_from_lines, oracle_set_lists
 
 
 # Lets `python -m deltafree` in a child process import the package under test.
@@ -169,6 +169,94 @@ class TestCheck:
         path.write_text(df.family_to_json(all_odd_family(3)))
         code, _, err = run_cli(capsys, "check", "--file", str(path), "--n", "5")
         assert code == 2 and "contradicts" in err
+
+
+def whole_text_load(path: Path, n: int | None):
+    """The family in ``path``, or the error the CLI prints after "error: ",
+    as a reader that decodes the whole file first and sniffs past its
+    whitespace gives them."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        return f"cannot read {path}: {exc}"
+    try:
+        if text.lstrip().startswith("{"):
+            family = oracle_from_json(text)
+            if n is not None and n != family.n:
+                return f"{path}: --n {n} contradicts file ground size {family.n}"
+            return family
+        return oracle_from_lines(text, n)
+    except ValueError as exc:
+        return f"{path}: {exc}"
+
+
+class TestFileReads:
+    """``--file`` reads a writer's file as a byte stream and any other file
+    whole; stdout, stderr and the exit code are those of the whole-text
+    read either way."""
+
+    @staticmethod
+    def family_n18(fmt: str) -> bytes:
+        family = df.generate_family(df.Generator(18, df.word_of([1, 3], 18)))
+        return (df.family_to_lines(family) if fmt == "lines" else df.family_to_json(family)).encode()
+
+    def check_file(self, capsys, path: Path, n: int | None = None):
+        expected = whole_text_load(path, n)
+        argv = ["check", "--file", str(path)] + ([] if n is None else ["--n", str(n)])
+        code, out, err = run_cli(capsys, *argv)
+        if isinstance(expected, str):
+            assert (code, out, err) == (2, "", f"error: {expected}\n")
+        else:
+            assert code in (0, 1) and err == ""
+            assert df.cli._load_family(str(path), n) == expected
+        return expected
+
+    @pytest.mark.parametrize("fmt", ["lines", "json"])
+    def test_byte_0xff_in_the_last_block(self, capsys, tmp_path, fmt):
+        data = self.family_n18(fmt)
+        at = len(data) - 20
+        assert at > 2 * df.serialization._BLOCK_CHARS
+        path = tmp_path / "f"
+        path.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
+        expected = self.check_file(capsys, path)
+        assert expected == (
+            f"cannot read {path}: 'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte"
+        )
+
+    @pytest.mark.parametrize(
+        "data, n",
+        [
+            ("\u00a0" + df.family_to_json(all_odd_family(3)), None),  # json past its whitespace
+            ("\u00a0" + df.family_to_lines(all_odd_family(3)), None),
+            (df.family_to_json(all_odd_family(3)), 5),
+            (df.family_to_json(all_odd_family(3)), 3),
+            # newlines are translated before the json parser counts characters
+            (
+                df.family_to_json(all_odd_family(3)).replace("\n", "\r\n").replace("3\r\n    ]", "x\r\n    ]"),
+                None,
+            ),
+            (df.family_to_json(all_odd_family(3)).replace("\n", "\r\n"), None),
+            (df.family_to_lines(all_odd_family(3)).replace("\n", "\r\n"), None),
+            ("1 2\r\n2 1\r\n", None),
+            ("1 2\n\n2 1\n", None),
+            (" {", None),
+            ("{", None),
+            ("", None),
+            (" \n", None),
+            ("-", None),
+            ("-", 4),
+            ("1 2\n5\n", 3),
+            ("\ufeff1\n", None),
+        ],
+    )
+    def test_same_outcome_as_the_whole_text_read(self, capsys, tmp_path, data, n):
+        path = tmp_path / "f"
+        path.write_bytes(data.encode())
+        self.check_file(capsys, path, n)
+
+    def test_missing_file_and_directory(self, capsys, tmp_path):
+        for path in (tmp_path / "nope", tmp_path):
+            assert self.check_file(capsys, path).startswith(f"cannot read {path}: [Errno")
 
 
 class TestClassify:

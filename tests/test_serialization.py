@@ -1,9 +1,11 @@
 """Round-trips and rejection behavior for the lines and json formats, the
 table renderer and block readers against the per-set oracles, the block
-readers on files of many blocks and ``generate`` written in slices."""
+readers on binary streams and on files of many blocks, and ``generate``
+written in slices."""
 
 from __future__ import annotations
 
+import io
 import json
 import random
 import re
@@ -403,6 +405,116 @@ class TestAgainstOracles:
         assert outcome(df.family_from_json, text) == outcome(oracle_from_json, text)
 
 
+def decoded(data: bytes) -> str:
+    """``data`` as ``Path.read_text`` decodes a file: UTF-8, universal newlines."""
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
+def prefixes(n, sc):
+    """The families of the first k members of a maximum family, every k."""
+    members = df.generate_family(df.Generator(n, sc)).members
+    return [df.Family(n, members[:k]) for k in range(len(members) + 1)]
+
+
+class TestStreams:
+    """The readers take a binary stream as well as a str.  With blocks of
+    1, 7 and 64 bytes, files of every length up to a few hundred bytes put
+    each separator, the json tail and the final newline across two reads,
+    and make files that end exactly where a block does."""
+
+    @pytest.fixture(params=[1, 7, 64], autouse=True)
+    def tiny_blocks(self, request, monkeypatch):
+        monkeypatch.setattr(serialization, "_BLOCK_CHARS", request.param)
+
+    @pytest.fixture
+    def set_by_set(self, monkeypatch):
+        """The valid texts that reach the set-by-set parse, one entry each."""
+        calls = []
+        family_of_sets = serialization._family_of_sets
+
+        def counted(n, sets):
+            calls.append(sets)
+            return family_of_sets(n, sets)
+
+        monkeypatch.setattr(serialization, "_family_of_sets", counted)
+        return calls
+
+    def read_both(self, read, data, *args):
+        """``read`` of ``data`` as a stream and of its text, with the
+        oracle's outcome, which both must equal."""
+        text = decoded(data)
+        oracle = oracle_from_json if read is df.family_from_json else oracle_from_lines
+        expected = outcome(oracle, text, *args)
+        stream = io.BytesIO(b"x" + data)
+        stream.seek(1)  # read from where the stream stands
+        assert outcome(read, stream, *args) == expected
+        assert outcome(read, text, *args) == expected
+        return expected
+
+    @pytest.mark.parametrize("n, sc", [(4, 0), (5, 3)])
+    def test_writer_lines_with_each_ending(self, set_by_set, n, sc):
+        for f in prefixes(n, sc)[1:]:
+            text = df.family_to_lines(f).encode()
+            for data in (text, text[:-1]):
+                self.read_both(df.family_from_lines, data)
+                assert self.read_both(df.family_from_lines, data, n) == f
+            assert not set_by_set
+            self.read_both(df.family_from_lines, text + b"\n")  # doubled: a blank line
+            assert len(set_by_set) == 2
+            set_by_set.clear()
+
+    @pytest.mark.parametrize("n, sc", [(4, 0), (5, 3)])
+    def test_writer_json(self, set_by_set, n, sc):
+        for f in prefixes(n, sc)[1:]:
+            assert self.read_both(df.family_from_json, df.family_to_json(f).encode()) == f
+        assert not set_by_set
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"", b"-", b"-\n", b"\n", b"1\n\n2\n", b"1 2\r\n3\r\n", b"1 2\r3\n", b"# c\n1\n", b"2\n1\n"],
+    )
+    def test_lines_that_are_not_the_writers(self, data):
+        self.read_both(df.family_from_lines, data)
+        self.read_both(df.family_from_lines, data, 3)
+
+    def test_lines_that_take_the_fallback(self, set_by_set):
+        for data in [b"", b"\n", b"1\n\n2\n", b"1 2\r\n3\r\n", b"# c\n1\n"]:
+            assert df.family_from_lines(io.BytesIO(data)) == oracle_from_lines(decoded(data))
+        assert len(set_by_set) == 5
+        assert df.family_from_lines(io.BytesIO(b"-")) == df.Family(1, [0])
+        assert len(set_by_set) == 5
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc[:-1],  # no final newline
+            lambda doc: doc + "\n",
+            lambda doc: doc.replace("\n", "\r\n"),
+            lambda doc: doc.replace("],\n    [", "],\n\n    [", 1),  # a blank line
+            lambda doc: doc.replace("    ]\n  ]", "    ],\n    []\n  ]"),  # the empty set last
+            lambda doc: " " + doc,
+        ],
+    )
+    def test_json_that_is_not_the_writers(self, edit):
+        for f in prefixes(3, 1):
+            self.read_both(df.family_from_json, edit(df.family_to_json(f)).encode())
+
+    def test_json_that_takes_the_fallback(self, set_by_set):
+        doc = df.family_to_json(df.generate_family(df.Generator(3, 1)))
+        for text in [doc.replace("\n", "\r\n"), doc + "\n", writer_document(3, [])]:
+            data = text.encode()
+            assert df.family_from_json(io.BytesIO(data)) == oracle_from_json(decoded(data))
+        assert len(set_by_set) == 3
+
+    def test_empty_set_last_in_json(self, set_by_set):
+        # the empty set prints as nothing between its brackets: a last block
+        # of no bytes is a set
+        f = df.Family(3, [0, 1])
+        doc = writer_document(3, [[1], []])
+        assert self.read_both(df.family_from_json, doc.encode()) == f
+        assert not set_by_set
+
+
 @pytest.fixture(scope="module")
 def family_n18():
     return df.generate_family(df.Generator(18, 0b10_0110_0000_0001_0011))
@@ -457,6 +569,26 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 16 << 20
+
+    @pytest.mark.parametrize(
+        "write, read",
+        [(df.family_to_lines, df.family_from_lines), (df.family_to_json, df.family_from_json)],
+    )
+    def test_file_reads_hold_no_whole_text(self, family_n18, tmp_path, write, read):
+        # a copy of the text alone would pass the bound: 2.8 MiB as lines
+        # beside the 2.8 MiB str, 12.2 MiB as json
+        text = write(family_n18)
+        path = tmp_path / "family"
+        path.write_text(text)
+        serialization._SPARE.clear()  # count the block workspace too
+        for load in (lambda: cli._load_family(str(path), None), lambda: read(text)):
+            tracemalloc.start()
+            try:
+                assert load() == family_n18
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 5 << 20
 
     def test_writer_memory_is_bounded(self, family_n18):
         tracemalloc.start()
