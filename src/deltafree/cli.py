@@ -160,6 +160,9 @@ def cmd_partition(args: argparse.Namespace) -> int:
 def cmd_threshold(args: argparse.Namespace) -> int:
     if args.steps < 1:
         raise CliError("--steps must be >= 1")
+    for flag, p in (("--p-min", args.p_min), ("--p-max", args.p_max)):
+        if not 0.0 <= p <= 1.0:
+            raise CliError(f"{flag} {p} outside [0, 1]")
     if args.steps == 1:
         grid = [args.p_min]
     else:

@@ -12,8 +12,11 @@ tests compare it with.
 Recognition needs no rebuild: the singletons in the family of ``s`` are
 exactly the elements of ``s``, and 2^(n-1) words with odd trace against a
 nonempty ``s`` are all the words of that family.  ``core._maximum_form``
-reads ``s`` off that way, for :func:`recognize_generator` and for the
-delta-free check, which it spares the pair counts on a maximum family.
+reads ``s`` off that way, once per family, for :func:`recognize_generator`,
+the canonical form and the delta-free check, which it spares the pair
+counts on a maximum family.  A generated family skips even that pass: it
+is held as built, with no sortedness check or copy, and with ``s`` on
+record.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Family, _maximum_form, full_word, is_delta_free, validate_word
+from .core import Family, _ascending_family, _maximum_form, full_word, is_delta_free, validate_word
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,7 +56,12 @@ class Generator:
 
 def generate_family(gen: Generator) -> Family:
     """The maximum delta-free family defined by ``gen``: the 2^(n-1) words
-    with odd trace against ``s``.
+    with odd trace against ``s``, with ``s`` on record as its form."""
+    return _family_of_form(gen.n, gen.s)
+
+
+def _family_of_form(n: int, s: int) -> Family:
+    """A(s) for a nonempty ``s`` at a valid ``n``, held with no re-check.
 
     Let k be the least element of ``s``.  A member's bit k is 1 xor the
     trace of its bits above k against ``s``, so the words with bit k set
@@ -63,15 +71,14 @@ def generate_family(gen: Generator) -> Family:
     the new half lies above the old one, and flipping bit k for a whole
     block of 2^k words keeps their order.
     """
-    s = gen.s
     k = (s & -s).bit_length() - 1
-    words = np.empty(1 << (gen.n - 1), dtype=np.uint32)
+    words = np.empty(1 << (n - 1), dtype=np.uint32)
     size = 1 << k
     words[:size] = np.arange(size, dtype=np.uint32) | np.uint32(size)
-    for i in range(k + 1, gen.n):
+    for i in range(k + 1, n):
         np.bitwise_xor(words[:size], (1 << i) | (s >> i & 1) << k, out=words[size : 2 * size])
         size *= 2
-    return Family(gen.n, words)
+    return _ascending_family(n, words, s)
 
 
 def recognize_generator(family: Family) -> Generator | None:

@@ -19,10 +19,16 @@ are their witness finders (``is_*`` is ``find_* is None``), which settle
 the empty set first.  Past the cutoff a maximum family, some A(s) (the
 words at odd trace against s), is pairwise free by that linear form,
 which ``_maximum_form`` reads off its singletons and checks in one O(m)
-pass, so no pair counts are needed.  Quadruple (xor) and union (or) are
-one engine over the combine op: a pigeonhole exit and ``_first_repeat``,
-the incremental scan the survival sweep runs too, decide the predicate;
-the witness reads the xor or the union (OR-convolution) pair counts.
+pass, so no pair counts are needed.  A family keeps that form, or its
+absence, once read.  One built from its form, as ``generate_family``
+builds A(s), has it on record from the start, and the pairwise check then
+skips the scan as well.  Words the library builds ascending are held as
+built, with no check or copy (``_ascending_family``); ``Family(n,
+members)`` checks every outside input.  Quadruple (xor) and union (or)
+are one engine over the combine op: a pigeonhole exit and
+``_first_repeat``, the incremental scan the survival sweep runs too,
+decide the predicate; the witness reads the xor or the union
+(OR-convolution) pair counts.
 """
 
 from __future__ import annotations
@@ -92,10 +98,11 @@ class Family:
     word value (the canonical order used everywhere for output and
     witnesses); membership is a binary search in it.  Members are given as
     a 1-D integer array or as an iterable of ints; anything else is refused
-    rather than coerced.
+    rather than coerced.  The family also records its linear form, the s
+    with the family equal to A(s), when it is first asked for.
     """
 
-    __slots__ = ("n", "_arr", "_hash")
+    __slots__ = ("n", "_arr", "_hash", "_form")
 
     def __init__(self, n: int, members: Iterable[int] = ()) -> None:
         validate_ground(n)
@@ -122,14 +129,24 @@ class Family:
         if len(words) and (words[0] < 0 or words[-1] >= 1 << n):
             bad = words[0] if words[0] < 0 else words[-1]
             raise ValueError(f"word {int(bad)} does not fit ground size {n}")
-        words = np.array(words, dtype=np.uint32)
+        self._hold(n, np.array(words, dtype=np.uint32), None)
+
+    def _hold(self, n: int, words: np.ndarray, form: int | None) -> None:
+        """Store the members read-only, and the linear form if known:
+        ``_form`` is None until ``_maximum_form`` reads it, then s for A(s)
+        and 0 for any other family."""
         words.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_arr", words)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_form", form)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Family is immutable")
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through __init__, not the blocked __setattr__
+        return (Family, (self.n, self._arr))
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -166,6 +183,15 @@ class Family:
         bits = np.zeros(1 << self.n, dtype=np.uint8)
         bits[self._arr] = 1
         return bits
+
+
+def _ascending_family(n: int, words: np.ndarray, form: int | None = None) -> Family:
+    """The Family of ``words``, a ``uint32`` array the library built strictly
+    ascending and below 2^n, held as it is: no check and no copy.  ``form``
+    is s when the words are A(s) (see ``Family._hold``)."""
+    family = object.__new__(Family)
+    family._hold(n, words, form)
+    return family
 
 
 def _walsh(vec: np.ndarray) -> np.ndarray:
@@ -278,27 +304,31 @@ def _maximum_form(family: Family) -> int | None:
     The singletons in A(s) are the elements of s, so s is the union of the
     singleton members, found by one binary search per bit; a family of
     2^(n-1) words all at odd trace against it is A(s), and so delta-free:
-    every A xor B has even trace.  s = 0 puts no word at odd trace.
+    every A xor B has even trace.  s = 0 puts no word at odd trace, and
+    stands for "no form" in the family's record: the pass runs at most
+    once per family, and not at all for one built from its form.
     """
-    n, m = family.n, family._arr
-    if m.size != 1 << (n - 1):
-        return None
-    bits = _SINGLETONS[:n]
-    s = np.bitwise_or.reduce(bits[m.take(m.searchsorted(bits), mode="clip") == bits])
-    if not (np.bitwise_count(m & s) & 1).all():
-        return None
-    return int(s)
+    if family._form is None:
+        n, m = family.n, family._arr
+        s = 0
+        if m.size == 1 << (n - 1):
+            bits = _SINGLETONS[:n]
+            s = np.bitwise_or.reduce(bits[m.take(m.searchsorted(bits), mode="clip") == bits])
+            s = int(s) if (np.bitwise_count(m & s) & 1).all() else 0
+        object.__setattr__(family, "_form", s)
+    return family._form or None
 
 
 def find_delta_violation(family: Family) -> tuple[int, int] | None:
     """The lexicographically first member pair (A, B) with A xor B a member.
 
-    Past ``_scan_is_cheaper`` a maximum family is certified free by its
-    form (``_maximum_form``) with no pair counts; the rest take the counts.
+    A maximum family is certified free by its form (``_maximum_form``),
+    with no scan or pair counts: always once the form is on record, and
+    past ``_scan_is_cheaper`` by reading it; the rest take the counts.
     """
     if family._arr.size and family._arr[0] == 0:  # the empty set is A xor A
         return (0, 0)
-    if not _scan_is_cheaper(family) and _maximum_form(family) is not None:
+    if (family._form is not None or not _scan_is_cheaper(family)) and _maximum_form(family):
         return None
     return _first_member_pair(family, True)
 

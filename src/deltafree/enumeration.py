@@ -9,9 +9,11 @@ forms under ground-set relabeling give the isomorphism class census.
 
 The search state fits in machine-word bitmasks over the 2^n possible
 words, so the whole thing is plain int arithmetic.  One serial search
-finds every family; results are sorted, so output is deterministic.  A
-branch is abandoned when one of two bounds shows that no family of the
-target size extends it:
+finds every family; results are sorted, so output is deterministic.  The
+search takes words in ascending order, so each family is held as found,
+with no re-check (``core._ascending_family``); recognition reads its form
+once, and the class census reuses it.  A branch is abandoned when one
+of two bounds shows that no family of the target size extends it:
 
 * the count bound: fewer candidates remain than members are missing;
 * the covering bound: let x be the first chosen word and U the chosen
@@ -42,7 +44,8 @@ sends A(s) to A(πs), so its class is fixed by k = |s|.  The flag of word
 2^i in A(s) is bit i of s, and the flags of the words below 2^i depend
 only on the bits of s below i.  So among the s of weight k the greatest
 string comes from s = 2^k - 1, which wins at the first word 2^i whose bit
-it holds and another s lacks, and the form is A(2^k - 1).
+it holds and another s lacks, and the form is A(2^k - 1).  This closed
+form serves every n; only the search is held to n <= 8.
 
 Symmetric families tie on many partial maps (all n! of them for a family
 invariant under every relabeling), so before a level with many branches
@@ -65,8 +68,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import Generator, generate_family, recognize_generator
-from .core import Family, _maximum_form, full_word, validate_ground, xor_pair_counts
+from .construction import _family_of_form, recognize_generator
+from .core import Family, _ascending_family, _maximum_form, validate_ground, xor_pair_counts
 
 _ENUM_MAX_GROUND = 7
 _CANONICAL_MAX_GROUND = 8
@@ -166,7 +169,8 @@ def enumerate_maximum_families(n: int) -> EnumerationReport:
     # every word except the empty set is a candidate
     nodes = _dfs([], 0, full - 1, 1 << (n - 1), full, [], raw)
     raw.sort()
-    families = tuple(Family(n, words) for words in raw)
+    # each tuple is strictly ascending: the search takes words in order
+    families = tuple(_ascending_family(n, np.array(words, dtype=np.uint32)) for words in raw)
     all_generated = all(recognize_generator(f) is not None for f in families)
     class_sizes = _class_size_census(families)
     return EnumerationReport(
@@ -191,18 +195,20 @@ def canonical_form(family: Family) -> Family:
     the flag of word 2^i in A(s) is bit i of s and the flags below it
     depend only on the lower bits, so of the s of weight k, s = 2^k - 1
     gives the greatest string: the form is A(2^k - 1), read off with no
-    search.  Every other family takes the search (see the module
-    docstring), keeping every tied partial map up to the merge of
-    interchangeable ones.
+    search, at every n.  Every other family takes the search (see the
+    module docstring), at n <= 8, keeping every tied partial map up to the
+    merge of interchangeable ones.
     """
     n = family.n
-    if n > _CANONICAL_MAX_GROUND:
-        raise ValueError(f"canonical form supports n <= {_CANONICAL_MAX_GROUND}")
-    if family._arr.size == 0:
-        return family
     s = _maximum_form(family)
     if s is not None:
-        return generate_family(Generator(n, full_word(n) ^ ((1 << s.bit_count()) - 1)))
+        return _family_of_form(n, (1 << s.bit_count()) - 1)
+    if n > _CANONICAL_MAX_GROUND:
+        raise ValueError(
+            f"canonical form supports n <= {_CANONICAL_MAX_GROUND} for a family that is no A(s)"
+        )
+    if family._arr.size == 0:
+        return family
     return _canonical_search(family)
 
 

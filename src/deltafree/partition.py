@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .construction import Generator
-from .core import Family, full_word, validate_word
+from .core import Family, _ascending_family, full_word, validate_word
 
 #: Class names by index: (cardinality parity, trace parity).
 CLASS_NAMES = ("even_even", "even_odd", "odd_even", "odd_odd")
@@ -23,7 +23,8 @@ def partition_family(family: Family, t: int) -> tuple[Family, Family, Family, Fa
     validate_word(t, family.n)
     words = family._arr
     index = (np.bitwise_count(words) & 1) << 1 | (np.bitwise_count(words & np.uint32(t)) & 1)
-    return tuple(Family(family.n, words[index == c]) for c in range(4))
+    # a selection from an ascending array stays ascending
+    return tuple(_ascending_family(family.n, words[index == c]) for c in range(4))
 
 
 def equal_split_expected(gen: Generator, t: int) -> bool:

@@ -362,6 +362,15 @@ class TestThreshold:
         assert payload["points"][0]["estimate"] == 1.0
         assert "p_half" in payload
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--p-max", "1.5"), ("--p-min", "-0.1"), ("--p-max", "nan"), ("--p-min", "2")],
+    )
+    def test_probability_outside_unit_interval_names_its_flag(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "threshold", "--n", "4", flag, value, "--trials", "5")
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} {float(value)} outside [0, 1]\n"
+
     def test_bad_grid_is_usage_error(self, capsys):
         code, _, _ = run_cli(
             capsys, "threshold", "--n", "3", "--p-min", "0.9", "--p-max", "0.1"

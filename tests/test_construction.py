@@ -119,17 +119,21 @@ class TestParityRuleOracle:
 
     @staticmethod
     def generated_words(g, monkeypatch):
-        """The word array generate_family hands to Family, before any sort."""
+        """The word array generate_family hands to ``_ascending_family``,
+        which holds it as it is: no sort, dedupe or range check follows."""
         seen = []
+        hold = construction._ascending_family
 
-        def capture(n, words):
+        def capture(n, words, form=None):
             seen.append(words.copy())
-            return df.Family(n, words)
+            return hold(n, words, form)
 
-        monkeypatch.setattr(construction, "Family", capture)
-        df.generate_family(g)
+        monkeypatch.setattr(construction, "_ascending_family", capture)
+        family = df.generate_family(g)
         monkeypatch.undo()
-        return seen[0]
+        (words,) = seen
+        assert words.dtype == np.uint32 and np.array_equal(words, family._arr)
+        return words
 
     def test_two_elements(self):
         assert parity_rule_family(2, 0) == fam(2, (1,), (2,))

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 from math import isqrt
 import operator
+import pickle
 import random
 import tracemalloc
 from unittest import mock
@@ -197,6 +199,21 @@ class TestFamily:
         assert df.Family(3, [1, 2]) == df.Family(3, [2, 1])
         assert df.Family(3, [1]) != df.Family(4, [1])
         assert hash(df.Family(3, [1, 2])) == hash(df.Family(3, [2, 1]))
+
+    @pytest.mark.parametrize("source", ["generated", "lines file", "json file"])
+    def test_copy_and_pickle_round_trip(self, source, tmp_path):
+        f = df.generate_family(df.Generator(7, 0b0110101))
+        if source != "generated":
+            lines = source == "lines file"
+            path = tmp_path / "family.txt"
+            path.write_text((df.family_to_lines if lines else df.family_to_json)(f))
+            with path.open("rb") as stream:
+                f = (df.family_from_lines if lines else df.family_from_json)(stream)
+        for twin in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert twin == f and hash(twin) == hash(f)
+            assert twin.n == f.n and twin.members == f.members
+            assert not twin._arr.flags.writeable
+            assert df.is_delta_free(twin) and df.recognize_generator(twin) == df.Generator(7, 0b0110101)
 
     def test_complement(self):
         f = df.Family(2, [0, 3])
@@ -504,6 +521,84 @@ class TestMaximumForm:
             assert naive_delta_violation(f.members) is None
             assert df.find_delta_violation(f) is None
         assert calls == caps
+
+
+def _swapped_member(n: int, rng: random.Random) -> df.Family:
+    """A(s) for a random s with one member swapped for a nonzero non-member:
+    2^(n-1) words, so it passes the size test of ``_maximum_form``, and from
+    n = 3 on in no A(s)."""
+    f = df.generate_family(df.Generator(n, rng.randrange((1 << n) - 1)))
+    absent = np.flatnonzero(f.table_bits() == 0)[1:]
+    words = f._arr.copy()
+    words[rng.randrange(words.size)] = rng.choice(absent)
+    return df.Family(n, words)
+
+
+class TestRecordedForm:
+    """A family computes its linear form at most once; a generated family
+    carries it from the start and answers with no pass over its members."""
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 12])
+    def test_swapped_member_records_no_form(self, n):
+        rng = random.Random(n)
+        for _ in range(4):
+            f = _swapped_member(n, rng)
+            fresh = df.Family(n, f.members)
+            assert f._form is None
+            assert core._maximum_form(f) is None
+            assert f._form == 0
+            assert core._maximum_form(f) is None
+            assert df.find_delta_violation(f) == df.find_delta_violation(fresh)
+            if n <= 8:
+                assert df.find_delta_violation(f) == naive_delta_violation(f.members)
+            assert df.is_delta_free(f) == df.is_delta_free(fresh)
+            assert df.recognize_generator(f) is None and df.recognize_generator(fresh) is None
+            assert not df.is_maximum_family(f)
+            if n <= 8:
+                assert df.canonical_form(f) == df.canonical_form(fresh)
+            else:
+                for g in (f, fresh):
+                    with pytest.raises(ValueError, match="no A\\(s\\)"):
+                        df.canonical_form(g)
+
+    def test_form_is_computed_once(self, monkeypatch):
+        f = df.Family(6, df.generate_family(df.Generator(6, 0b1001)).members)
+        counted = []
+        count = np.bitwise_count
+        monkeypatch.setattr(core.np, "bitwise_count", lambda *a: counted.append(1) or count(*a))
+        for _ in range(3):
+            assert core._maximum_form(f) == df.full_word(6) ^ 0b1001
+        assert len(counted) == 1
+
+    @pytest.mark.parametrize("n", [1, 4, 9, 16])
+    def test_generated_equals_built(self, n):
+        rng = random.Random(n)
+        for sc in {0, (1 << n) - 2, rng.randrange((1 << n) - 1)}:
+            g = df.generate_family(df.Generator(n, sc))
+            shuffled = g._arr.astype(np.int64)
+            rng.shuffle(shuffled)
+            for built in (df.Family(n, g.members), df.Family(n, shuffled)):
+                assert g == built and hash(g) == hash(built)
+                assert g._form == df.full_word(n) ^ sc and built._form is None
+                assert core._maximum_form(built) == g._form
+            assert not g._arr.flags.writeable
+
+    def test_generated_family_answers_from_its_record(self, monkeypatch):
+        cases = [(1, 0), (3, 0b001), (8, 0b10110010), (16, 0x0F0F)]
+        families = [df.generate_family(df.Generator(n, sc)) for n, sc in cases]
+
+        def fail(*args):
+            raise AssertionError("a pass over the members")
+
+        monkeypatch.setattr(core, "_SINGLETONS", None)  # _maximum_form's pass would raise
+        monkeypatch.setattr(core, "_first_member_pair", fail)
+        monkeypatch.setattr(core, "xor_pair_counts", fail)
+        for (n, sc), f in zip(cases, families):
+            assert df.is_delta_free(f) and df.is_maximum_family(f)
+            assert df.recognize_generator(f) == df.Generator(n, sc)
+            k = n - sc.bit_count()
+            want = df.Generator(n, df.full_word(n) ^ ((1 << k) - 1))
+            assert df.canonical_form(f).members == df.generate_family(want).members
 
 
 class TestQuadrupleFree:

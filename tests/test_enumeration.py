@@ -150,11 +150,15 @@ class TestCanonicalForm:
         assert df.canonical_form(df.Family(3)) == df.Family(3)
 
     def test_ground_too_large(self):
-        with pytest.raises(ValueError):
+        # the search stops at n = 8; only a family that is no A(s) needs it
+        with pytest.raises(ValueError, match="n <= 8"):
             df.canonical_form(df.Family(9, [1]))
-        # the cap comes before the closed form of a maximum family
-        with pytest.raises(ValueError):
-            df.canonical_form(df.generate_family(df.Generator(9, 0)))
+        with pytest.raises(ValueError, match="n <= 8"):
+            df.canonical_form(df.Family(9))
+        words = df.generate_family(df.Generator(9, 0))._arr.copy()
+        words[-1] = 0b11  # an even word, in no A(s) with all the odd ones but one
+        with pytest.raises(ValueError, match="n <= 8"):
+            df.canonical_form(df.Family(9, words))
 
 
 class TestCanonicalFormOfMaximumFamilies:
@@ -170,6 +174,17 @@ class TestCanonicalFormOfMaximumFamilies:
             f = self.a(n, s)
             form = self.a(n, (1 << s.bit_count()) - 1)
             assert df.canonical_form(f) == form == enumeration._canonical_search(f)
+
+    @pytest.mark.parametrize("n", [9, 12, 24])
+    def test_closed_form_past_the_search_cap(self, n):
+        rng = random.Random(n)
+        for k in sorted({1, n // 2, n - 1, n}):
+            s = sum(1 << i for i in rng.sample(range(n), k))
+            want = df.generate_family(df.Generator(n, df.full_word(n) ^ ((1 << k) - 1)))
+            f = self.a(n, s)
+            assert df.canonical_form(f) == want
+            # read off the members as well as from the generator's record
+            assert df.canonical_form(df.Family(n, f._arr)) == want
 
     def test_maximum_families_skip_the_search(self, monkeypatch):
         def fail(family):

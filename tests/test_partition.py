@@ -87,6 +87,8 @@ class TestPartitionFamily:
         assert tuple(recovered) == f.members
         for c, sub in enumerate(split):
             assert (class_indices(sub._arr, t) == c).all()
+            # held with no re-check, yet the family a checked build gives
+            assert sub == df.Family(f.n, list(sub)) and not sub._arr.flags.writeable
 
     @given(family_strategy(max_n=6), st.integers(min_value=0, max_value=63))
     def test_counts_agree_with_popcount(self, f, t):
