@@ -8,7 +8,9 @@ Subcommands: ``generate`` (build a family from its defining set),
 property fails (a witness is printed), 2 usage or parse error.
 
 Output on stdout is byte-deterministic for fixed arguments; timings go to
-stderr.
+stderr.  The family file formats are ``serialization``'s: this module opens
+the files, hands them to ``read_family`` and ``write_family``, and maps
+their errors to exit code 2.
 """
 
 from __future__ import annotations
@@ -28,16 +30,12 @@ from .partition import CLASS_NAMES, partition_family
 from .serialization import (
     INLINE_JSON_STYLE,
     LINES_STYLE,
-    _framing,
-    _read_text,
-    family_from_json,
-    family_from_lines,
     format_element_set,
     parse_element_set,
+    read_family,
     render_text,
+    write_family,
 )
-
-_EMIT_SLICE = 1 << 17  # words per write of ``generate``
 
 
 class CliError(Exception):
@@ -66,24 +64,10 @@ def _json_text(value: object, pad: str = "") -> str:
 
 
 def _load_family(path: str, n: int | None) -> Family:
-    """The family in the file at ``path``.  A file that starts as a writer's
-    does, with "{", a digit or "-", goes to its reader as a byte stream; any
-    other is decoded whole and is json if it starts with "{" past its
-    whitespace."""
+    """The family in the file at ``path``, as ``read_family`` reads it."""
     try:
         with open(path, "rb") as file:
-            first = file.peek(1)[:1]
-            if first and first in b"{-0123456789":
-                source, is_json = file, first == b"{"
-            else:
-                source = _read_text(file)
-                is_json = source.lstrip().startswith("{")
-            if is_json:
-                family = family_from_json(source)
-                if n is not None and n != family.n:
-                    raise ValueError(f"--n {n} contradicts file ground size {family.n}")
-                return family
-            return family_from_lines(source, n)
+            return read_family(file, n)
     # a UnicodeDecodeError is a ValueError: it must not reach the second clause
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
@@ -92,16 +76,8 @@ def _load_family(path: str, n: int | None) -> Family:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    """Print the family as ``family_to_lines`` / ``family_to_json`` would,
-    but a slice of words at a time, so its whole text is never held."""
     family = generate_family(Generator(args.n, parse_element_set(args.sc, args.n)))
-    style, between, head, tail = _framing(family, args.format)
-    words = family._arr
-    for start in range(0, max(words.size, 1), _EMIT_SLICE):
-        stop = start + _EMIT_SLICE
-        end = tail if stop >= words.size else ""
-        sys.stdout.write(render_text(words[start:stop], style, between, head, end))
-        head = between
+    write_family(family, args.format, sys.stdout.write)
     return 0
 
 

@@ -42,6 +42,7 @@ class Generator:
 
     def __post_init__(self) -> None:
         validate_word(self.sc, self.n)
+        object.__setattr__(self, "sc", int(self.sc))  # a numpy integer, too
         if self.sc == full_word(self.n):
             raise ValueError(
                 "defining set equal to the whole ground set would generate "

@@ -72,9 +72,9 @@ def word_of(elements: Iterable[int], n: int) -> int:
     validate_ground(n)
     word = 0
     for e in elements:
-        if not isinstance(e, int) or isinstance(e, bool) or not 1 <= e <= n:
+        if not isinstance(e, (int, np.integer)) or isinstance(e, bool) or not 1 <= e <= n:
             raise ValueError(f"element {e!r} outside 1..{n}")
-        word |= 1 << (e - 1)
+        word |= 1 << (int(e) - 1)
     return word
 
 

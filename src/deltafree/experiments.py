@@ -70,10 +70,6 @@ def _require_int(name: str, value: object) -> None:
         raise ValueError(f"{name} must be an int, got {value!r}")
 
 
-def _trial_state(seed: int, trial_index: int) -> int:
-    return _mix(_mix(seed) ^ (trial_index & _MASK64))
-
-
 def _threshold(p: float) -> int:
     """Inclusion cutoff on the 64-bit scale; draw < cutoff means include."""
     if p <= 0.0:
@@ -168,9 +164,11 @@ def _mix_array(x: np.ndarray) -> np.ndarray:
 
 
 def _trial_states(seed: int, start: int, count: int) -> np.ndarray:
-    """``_trial_state(seed, t)`` for the ``count`` trials from ``start`` on."""
+    """Trial t's state ``_mix(_mix(seed) ^ (t mod 2^64))`` for the ``count``
+    trials t from ``start`` on; ``naive_trial_state`` in ``tests/conftest.py``
+    is its scalar oracle."""
     trials = np.arange(count, dtype=np.uint64)
-    trials += np.uint64(start & _MASK64)  # wraps as _trial_state's mask does
+    trials += np.uint64(start & _MASK64)  # wraps modulo 2^64, as t does
     trials ^= np.uint64(_mix(seed))
     return _mix_array(trials)
 
@@ -189,8 +187,9 @@ def _block_draws(n: int, states: np.ndarray) -> np.ndarray:
 
 
 def _draws(n: int, seed: int, trial_index: int) -> np.ndarray:
-    """Every word's 64-bit draw, ``_mix(_trial_state(seed, trial_index) ^ w)``
-    for w in 0..2^n - 1."""
+    """Every word's 64-bit draw, ``_mix(state ^ w)`` for w in 0..2^n - 1,
+    where ``state`` is the trial's (``naive_trial_state`` in
+    ``tests/conftest.py``)."""
     return _block_draws(n, _trial_states(seed, trial_index, 1))[0]
 
 

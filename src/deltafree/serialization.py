@@ -8,22 +8,26 @@ inferred as the largest element present.  ``json``: a document
 ground size exactly.  Sets are always emitted in canonical family order
 (ascending word value).
 
+Everything about the file format lives here: ``write_family`` and
+``read_family`` are what the CLI calls to write and read files.
+
 Writers print each word as two entries of precomputed tables, one for its
 low 12 bits and one for the rest, gathered by numpy into one join, so no
-string is made per word and the text is copied once; a head and a tail let
-a caller print a family slice by slice.  Readers invert the writers, by
-one rule for both formats, and take a seekable binary stream as well as a
-str.  They read the bytes in blocks of about 2^17, each cut after its last
-set and read after the partial set the last one left, into one workspace
-that every block and every read reuses; they read each block's words with
-numpy and accept the block only if ``render_text`` gives it back byte for
-byte; a json document must also have the writer's head and tail.  So the
-fast path takes each set exactly as the writer prints it, the sets in any
-order, and its memory beyond the words is the workspace, about 1 MiB; a
-str is never copied whole.  Any other input (comments, blank lines, other
-spacing or layout, CR LF line ends, an empty json family, or anything
-invalid) is decoded whole, as ``Path.read_text`` would decode the file, and
-parsed set by set, with the same results and error messages.
+string is made per word and the text is copied once; ``write_family``
+passes a family's text on a slice of words at a time.  Readers invert the
+writers, by one rule for both formats, and take a seekable binary stream as
+well as a str.  They read the bytes in blocks of about 2^17 into one buffer
+per read, each block cut after its last set and read after the partial set
+the last one left; they read each block's words with numpy and accept the
+block only if ``render_text`` gives it back byte for byte; a json document
+must also have the writer's head and tail.  So the fast path takes each set
+exactly as the writer prints it, the sets in any order, and its memory
+beyond the words is a few times the block; a str is never copied whole.
+Any other input (comments, blank lines, other spacing or layout, CR LF line
+ends, an empty json family, or anything invalid) is decoded whole, as
+``Path.read_text`` would decode the file, and parsed set by set, with the
+same results and error messages.  ``read_family`` sends a file that cannot
+start as a writer's does straight to that parse.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ _JSON_END = (_SETS_CLOSE + _JSON_TAIL).encode()
 
 _HALF_BITS = 12
 _HALF_MASK = (1 << _HALF_BITS) - 1
+_EMIT_SLICE = 1 << 17  # words per ``write`` of write_family
 
 
 @functools.cache
@@ -120,6 +125,18 @@ def family_to_json(family: Family) -> str:
     return render_text(family._arr, *_framing(family, "json"))
 
 
+def write_family(family: Family, fmt: str, write: Callable[[str], object]) -> None:
+    """Pass the text that ``family_to_lines`` (``fmt`` "lines") or
+    ``family_to_json`` ("json") returns to ``write``, a slice of words at a
+    time, so the whole text is never held."""
+    style, between, head, tail = _framing(family, fmt)
+    words = family._arr
+    for start in range(0, max(words.size, 1), _EMIT_SLICE):
+        stop = start + _EMIT_SLICE
+        write(render_text(words[start:stop], style, between, head, tail if stop >= words.size else ""))
+        head = between
+
+
 # Readers cut files into blocks of whole sets of about this many bytes, so
 # that their memory stays bounded however large the file.
 _BLOCK_CHARS = 1 << 17
@@ -156,48 +173,19 @@ class _TextBytes:
         return len(chunk)
 
 
-class _Workspace:
-    """Where readers read blocks: a byte buffer that takes up to ``block``
-    bytes after a pad byte and the carried partial set, and the arrays that
-    read a block's words, each allocated for the largest block and written
-    with ``out=``.  Reads take one from ``_SPARE`` and put it back, so after
-    the first read the blocks of a file touch no fresh pages."""
-
-    def __init__(self, block: int) -> None:
-        self.block = block
-        size = block + _CARRY_MAX + 16
-        most = size // 2 + 1  # the runs of digits, or pad bytes, a block may hold
-        self.buf = np.empty(size, dtype=np.uint8)
-        self.digit, self.mask = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
-        self.byte, self.pair = np.empty(most, dtype=np.uint8), np.empty(most, dtype=np.uint16)
-        self.sums, self.ends = np.zeros(most + 1, dtype=np.uint32), np.empty(most, dtype=np.uint32)
-
-    def ends_at_pads(self, pad: int, start: int, stop: int) -> np.ndarray | None:
-        """For each ``pad`` byte of buf[start - 1 : stop + 1] (those at
-        start - 1 and at stop are two), the running sum of the element bits
-        that the runs of digits before it spell; None if there are more than
-        a rendered block has.  Each run reads as the element its first two
-        digits spell, so the words are the steps of the sums; the pad byte
-        occurs once in ``between`` and in no rendered set."""
-        lo, hi = start - 1, stop + 1
-        buf, digit, mask = self.buf[lo:hi], self.digit[lo:hi], self.mask[lo:hi]
-        np.less(np.subtract(buf, ord("0"), out=mask.view(np.uint8)), 10, out=digit)
-        np.greater(digit[1:], digit[:-1], out=mask[1:])
-        before = np.flatnonzero(mask[1:])  # the byte before each run
-        byte, pair, sums = self.byte[: before.size], self.pair[: before.size], self.sums[: before.size + 1]
-        # every index is in range; mode="raise" would copy ``out`` first
-        np.left_shift(buf[1:].take(before, out=byte, mode="clip"), 8, out=pair, dtype=np.uint16)
-        pair |= buf[2:].take(before, out=byte, mode="clip")
-        bits = _pair_bits().take(pair, out=sums[1:], mode="clip")
-        np.cumsum(bits, out=bits)  # wraps modulo 2^32: still exact
-        pads = np.flatnonzero(np.equal(buf, pad, out=digit))
-        if pads.size > self.ends.size:
-            return None
-        # the runs before a pad byte are those whose byte before lies before it
-        return sums.take(np.searchsorted(before, pads), out=self.ends[: pads.size], mode="clip")
-
-
-_SPARE: list[_Workspace] = []  # workspaces that no read is using
+def _ends_at_pads(buf: np.ndarray, pad: int) -> np.ndarray:
+    """For each ``pad`` byte of ``buf`` (its first and last byte are two),
+    the running sum of the element bits that the runs of digits before it
+    spell.  Each run reads as the element its first two digits spell, so
+    the words are the steps of the sums; the pad byte occurs once in
+    ``between`` and in no rendered set."""
+    digit = buf - ord("0") < 10
+    before = np.flatnonzero(digit[1:] > digit[:-1])  # the byte before each run
+    pair = buf[1:].take(before).astype(np.uint16) << 8 | buf[2:].take(before)
+    sums = np.zeros(before.size + 1, dtype=np.uint32)
+    np.cumsum(_pair_bits().take(pair), out=sums[1:])  # wraps modulo 2^32: still exact
+    # the runs before a pad byte are those whose byte before lies before it
+    return sums.take(np.searchsorted(before, np.flatnonzero(buf == pad)))
 
 
 def _read_blocks(
@@ -211,35 +199,22 @@ def _read_blocks(
     match, then ``render_text(words, style, between)``, then ``tail``; with
     no tail, one more ``between`` may end them.  None for any other bytes.
 
-    Blocks are read into a workspace after the partial set that the last
-    block left, and cut after their last ``between``.  A block is taken only
-    if its words render back to it byte for byte, so that check alone decides
-    what is accepted, wherever the cuts fall.  The words go to an array that
-    doubles when full.
+    Blocks are read into one buffer after a pad byte and the partial set
+    that the last block left, and cut after their last ``between``.  A block
+    is taken only if its words render back to it byte for byte, so that
+    check alone decides what is accepted, wherever the cuts fall.  The words
+    go to an array that doubles when full.
     """
-    try:
-        space = _SPARE.pop()
-    except IndexError:  # the first read, or one alongside another
-        space = None
-    if space is None or space.block != _BLOCK_CHARS:
-        space = _Workspace(_BLOCK_CHARS)
-    try:
-        return _read_into(space, stream, style, between, head, tail)
-    finally:
-        _SPARE.append(space)
-
-
-def _read_into(
-    space: _Workspace, stream: BinaryIO, style: _Style, between: str, head: re.Pattern[bytes], tail: bytes
-) -> tuple[np.ndarray, re.Match[bytes]] | None:
-    """``_read_blocks`` in ``space``."""
-    pad, sep = ord(between[0]), between.encode("ascii")
-    buf, view = space.buf, memoryview(space.buf)
+    pad, sep, block = ord(between[0]), between.encode("ascii"), _BLOCK_CHARS
+    # the pad byte, the carry (at most _CARRY_MAX and a ``between``), the
+    # block and the pad byte after it
+    buf = np.empty(block + _CARRY_MAX + 16, dtype=np.uint8)
+    view = memoryview(buf)
     buf[0] = pad
     words, count = np.empty(0, dtype=np.uint32), 0
     found, carry = None, 0
     while True:
-        stop, full = 1 + carry, 1 + carry + space.block
+        stop, full = 1 + carry, 1 + carry + block
         while stop < full and (read := stream.readinto(view[stop:full])):
             stop += read
         if stop == full:
@@ -269,9 +244,7 @@ def _read_into(
                 return None
             start += found.end()
             buf[start - 1] = pad
-        ends = space.ends_at_pads(pad, start, cut)
-        if ends is None:
-            return None
+        ends = _ends_at_pads(buf[start - 1 : cut + 1], pad)
         if count + ends.size - 1 > words.size:
             grown = np.empty(max(count + ends.size - 1, 2 * words.size), dtype=np.uint32)
             grown[:count] = words[:count]
@@ -314,6 +287,30 @@ def _read_text(stream: BinaryIO) -> str:
         text.detach()  # the caller closes the stream
 
 
+# The first bytes of the writers' files: "{" for json, a digit or "-" for lines.
+_WRITER_FIRST = b"{-0123456789"
+
+
+def read_family(file: io.BufferedReader, n: int | None) -> Family:
+    """The family in ``file``, a buffered binary file such as ``open(path,
+    "rb")`` returns.  It is json if it starts with "{" past its whitespace,
+    and then its ground size must be ``n`` if ``n`` is given; else it is
+    lines, read with ``n``.  A file that starts as a writer's does goes to
+    its reader as a byte stream; any other is decoded whole and parsed set
+    by set."""
+    first = file.peek(1)[:1]
+    if first and first in _WRITER_FIRST:
+        is_json = first == b"{"
+        family = family_from_json(file) if is_json else family_from_lines(file, n)
+    else:
+        text = _read_text(file)
+        is_json = text.lstrip().startswith("{")
+        family = _parse_json(text) if is_json else _parse_lines(text, n)
+    if is_json and n is not None and n != family.n:
+        raise ValueError(f"--n {n} contradicts file ground size {family.n}")
+    return family
+
+
 def family_from_lines(source: str | BinaryIO, n: int | None = None) -> Family:
     """Parse lines format from a str or a seekable binary stream; ``n``
     defaults to the largest element present.  The fast path takes lines
@@ -337,6 +334,7 @@ def family_from_lines(source: str | BinaryIO, n: int | None = None) -> Family:
 def _parse_lines(text: str, n: int | None) -> Family:
     """Set-by-set parse of the lines format, with its error messages."""
     sets: list[tuple[int, ...]] = []
+    first = None  # the line and the first element of the first nonempty set
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -351,8 +349,11 @@ def _parse_lines(text: str, n: int | None) -> Family:
         if any(b <= a for a, b in zip(elems, elems[1:])):
             raise ValueError(f"line {lineno}: elements must be strictly increasing")
         sets.append(elems)
+        first = first or (lineno, elems[0])
     if n is None:
         n = max((elems[-1] for elems in sets if elems), default=1)
+        if n < 1:  # every element is below 1, so no ground size was read
+            raise ValueError(f"line {first[0]}: element {first[1]} outside 1..{MAX_GROUND}")
     return _family_of_sets(n, sets)
 
 
@@ -384,9 +385,12 @@ def family_from_json(source: str | BinaryIO) -> Family:
     """Parse a json document from a str or a seekable binary stream.  The
     fast path takes the writer's head and tail and, between them, sets
     printed as the writer does, in any order."""
-    text = _fast_or_text(source, _layout_json)
-    if isinstance(text, Family):
-        return text
+    family = _fast_or_text(source, _layout_json)
+    return family if isinstance(family, Family) else _parse_json(family)
+
+
+def _parse_json(text: str) -> Family:
+    """Set-by-set parse of a json document, with its error messages."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

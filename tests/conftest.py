@@ -21,7 +21,7 @@ import hypothesis.strategies as st
 import numpy as np
 
 import deltafree as df
-from deltafree.experiments import _half_crossing
+from deltafree.experiments import _half_crossing, _mix
 
 
 def fam(n: int, *sets: tuple[int, ...]) -> df.Family:
@@ -174,6 +174,12 @@ def naive_survival(cfg: df.ExperimentConfig) -> df.SurvivalCurve:
     return df.SurvivalCurve(points=tuple(points), crossing=_half_crossing(points))
 
 
+def naive_trial_state(seed: int, trial_index: int) -> int:
+    """The 64-bit state of one survival trial, one scalar at a time: the
+    oracle for the sweep's vector ``experiments._trial_states``."""
+    return _mix(_mix(seed) ^ (trial_index & ((1 << 64) - 1)))
+
+
 def naive_generate(n: int, sc: int) -> set[int]:
     """Direct transcription of the construction rule, one word at a time."""
     out = set()
@@ -312,7 +318,7 @@ def _oracle_family_of_sets(n, sets) -> df.Family:
 
 
 def oracle_from_lines(text: str, n: int | None = None) -> df.Family:
-    sets = []
+    sets, numbered = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -327,10 +333,14 @@ def oracle_from_lines(text: str, n: int | None = None) -> df.Family:
         if any(b <= a for a, b in zip(elems, elems[1:])):
             raise ValueError(f"line {lineno}: elements must be strictly increasing")
         sets.append(elems)
+        numbered.append((lineno, elems))
     if n is not None:
         df.validate_ground(n)
     else:
         n = max((elems[-1] for elems in sets if elems), default=1)
+        if n < 1:  # no element is in range: name the first one read
+            lineno, first = next((k, e) for k, e in numbered if e)
+            raise ValueError(f"line {lineno}: element {first[0]} outside 1..{df.MAX_GROUND}")
     return _oracle_family_of_sets(n, sets)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import os
@@ -146,6 +147,16 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", "--file", str(path))
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("text, element", [("0\n", 0), ("-3\n", -3), ("-\n-3 0\n", -3)])
+    def test_file_with_no_element_in_range_names_the_element(self, capsys, tmp_path, text, element):
+        path = tmp_path / "f.txt"
+        path.write_text(text)
+        line = text.count("\n")
+        for command in (["check"], ["classify"], ["partition", "--t", "1"]):
+            code, out, err = run_cli(capsys, *command, "--file", str(path))
+            assert (code, out) == (2, "")
+            assert err == f"error: {path}: line {line}: element {element} outside 1..24\n"
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "check", "--file", str(tmp_path / "nope.txt"))
@@ -529,3 +540,52 @@ class TestTopLevel:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 141
         assert err == b""
+
+
+def private_serialization_names(source: str) -> list[str]:
+    """The ``_``-prefixed names that a module's ``source`` takes from
+    ``deltafree.serialization``: imported from it, or read off it as an
+    attribute of a name it is bound to."""
+    tree = ast.parse(source)
+    module_names, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            target = ("." * node.level) + (node.module or "")
+            for alias in node.names:
+                if target in (".serialization", "deltafree.serialization") and alias.name.startswith("_"):
+                    found.append(alias.name)
+                elif target in (".", "deltafree") and alias.name == "serialization":
+                    module_names.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "deltafree.serialization":
+                    module_names.add(alias.asname or "deltafree")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            base = node.value
+            if isinstance(base, ast.Attribute) and base.attr == "serialization":
+                base = base.value  # deltafree.serialization._name
+            if isinstance(base, ast.Name) and base.id in module_names:
+                found.append(node.attr)
+    return found
+
+
+class TestFormatBoundary:
+    """The file format is ``serialization``'s alone: the CLI reaches it
+    only through public names, so format code cannot move back into it."""
+
+    def test_cli_uses_no_private_serialization_name(self):
+        assert private_serialization_names(Path(df.cli.__file__).read_text()) == []
+
+    @pytest.mark.parametrize(
+        "source, names",
+        [
+            ("from .serialization import _framing, render_text", ["_framing"]),
+            ("from deltafree.serialization import (\n    _read_text as r,\n)", ["_read_text"]),
+            ("from . import serialization as s\ns._EMIT_SLICE", ["_EMIT_SLICE"]),
+            ("import deltafree.serialization\ndeltafree.serialization._SPARE", ["_SPARE"]),
+            ("from .core import _CHECKS\nfrom .serialization import read_family", []),
+        ],
+    )
+    def test_the_check_sees_each_way_in(self, source, names):
+        assert private_serialization_names(source) == names

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,21 @@ class TestGenerator:
     def test_word_must_fit_ground(self):
         with pytest.raises(ValueError):
             df.Generator(3, 1 << 3)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.uint32])
+    def test_numpy_integer_sc_is_held_as_int(self, kind):
+        # validate_word takes numpy integers, so the rest of the library must
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow in a negated uint32
+            for n in (3, 8):
+                for sc in (0, 1, (1 << n) - 2):
+                    g = df.Generator(n, kind(sc))
+                    assert type(g.sc) is int and g == df.Generator(n, sc)
+                    f = df.generate_family(g)
+                    assert f == df.generate_family(df.Generator(n, sc))
+                    assert df.recognize_generator(f) == g
+                    assert df.canonical_form(f) == df.canonical_form(df.Family(n, f.members))
+                    assert df.word_of([kind(e) for e in df.elements_of(sc)], n) == sc
 
 
 class TestGenerateFamily:

@@ -91,6 +91,16 @@ class TestWordAlgebra:
         with pytest.raises(ValueError):
             df.validate_ground(df.MAX_GROUND + 1)
 
+    @pytest.mark.parametrize("kind", [np.int64, np.uint32])
+    def test_word_of_takes_numpy_integers(self, kind):
+        # as validate_word does; the word is a Python int either way
+        word = df.word_of([kind(1), kind(3)], 3)
+        assert word == 0b101 and type(word) is int
+        with pytest.raises(ValueError, match="outside 1..3"):
+            df.word_of([kind(4)], 3)
+        with pytest.raises(ValueError, match="outside 1..3"):
+            df.word_of([kind(0)], 3)
+
     def test_elements_roundtrip(self):
         for w in range(64):
             assert df.word_of(df.elements_of(w), 6) == w
@@ -975,10 +985,11 @@ def _valid_collision(g: df.Family, witness, combine=operator.xor) -> bool:
             and all(w in g for w in witness))
 
 
-def _gl_check(f: df.Family, cols: list[int]) -> None:
+def _gl_check(f: df.Family, cols: list[int], first: bool = False) -> None:
     """The pairwise, closed and quadruple predicates agree on F and M F,
-    M maps a maximum family A(s) to one, pair counts move with M, and each witness, and its image under M, is a
-    valid violation in its family."""
+    M maps a maximum family A(s) to one, pair counts move with M, and each
+    witness, and its image under M, is a valid violation in its family;
+    with ``first``, each witness on both sides is also the naive oracle's."""
 
     def image(*words):
         return [int(w) for w in apply_gf2(cols, np.array(words, dtype=np.uint32))]
@@ -995,14 +1006,23 @@ def _gl_check(f: df.Family, cols: list[int]) -> None:
         assert core._maximum_form(moved) == solve_gf2(cols, form, f.n)
     for pred in (df.is_delta_free, df.is_delta_closed, df.is_quadruple_delta_free):
         assert pred(moved) == pred(f)
-    for find, present in ((df.find_delta_violation, True), (df.find_closure_violation, False)):
+    finds = (
+        (df.find_delta_violation, naive_delta_violation, True),
+        (df.find_closure_violation, naive_closure_violation, False),
+    )
+    for find, naive, present in finds:
         wf, wm = find(f), find(moved)
         assert (wf is None) == (wm is None)
+        if first:
+            assert wf == naive(f.members) and wm == naive(moved.members)
         if wf is not None:
             assert valid_pair(f, *wf, present) and valid_pair(moved, *wm, present)
             assert valid_pair(moved, *sorted(image(*wf)), present)
     wf, wm = df.find_quadruple_collision(f), df.find_quadruple_collision(moved)
     assert (wf is None) == (wm is None)
+    if first:
+        assert wf == naive_quadruple_collision(f.members)
+        assert wm == naive_quadruple_collision(moved.members)
     if wf is not None:
         assert _valid_collision(f, wf) and _valid_collision(moved, wm)
         a, b, c, d = image(*wf)
@@ -1033,7 +1053,13 @@ class TestGLInvariance:
     @example(n=10, seed=3, size=200, kind="any")
     def test_invariant_under_random_invertible_map(self, n, seed, size, kind):
         f, cols = _gl_sample(n, seed, min(size, 1 << (n - 1)), kind)
-        _gl_check(f, cols)
+        _gl_check(f, cols, first=True)
+
+    def test_n16_first_witnesses_past_the_cutoff(self):
+        f, cols = _gl_sample(16, 29, 300, "any")
+        assert not _scan_is_cheaper(f) and core._maximum_form(f) is None
+        assert not df.is_delta_free(f) and not df.is_quadruple_delta_free(f)
+        _gl_check(f, cols, first=True)
 
     def test_n21_past_the_cutoff(self):
         f, cols = _gl_sample(21, 23, 1000, "odd")

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from conftest import PREDICATES, naive_survival
+from conftest import PREDICATES, naive_survival, naive_trial_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import numpy as np
@@ -23,7 +23,6 @@ from deltafree.experiments import (
     _draws,
     _mix,
     _trial_death,
-    _trial_state,
     _trial_states,
 )
 
@@ -89,14 +88,14 @@ SEEDS_AND_TRIALS = [
 class TestDraws:
     @pytest.mark.parametrize("seed, trial", SEEDS_AND_TRIALS)
     def test_vector_mixer_matches_scalar_mix(self, seed, trial):
-        state = _trial_state(seed, trial)
+        state = naive_trial_state(seed, trial)
         expected = [_mix(state ^ w) for w in range(1 << 10)]
         assert _draws(10, seed, trial).tolist() == expected
 
     @pytest.mark.parametrize("seed, trial", SEEDS_AND_TRIALS + [(5, 2**64 - 2)])
     def test_vector_trial_states_match_scalar(self, seed, trial):
         # the last case wraps past 2^64 - 1 as the scalar form's mask does
-        expected = [_trial_state(seed, trial + i) for i in range(5)]
+        expected = [naive_trial_state(seed, trial + i) for i in range(5)]
         assert _trial_states(seed, trial, 5).tolist() == expected
 
     def test_block_rows_match_scalar_mix(self):

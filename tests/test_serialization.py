@@ -180,6 +180,23 @@ class TestLinesFormat:
         with pytest.raises(ValueError):
             df.family_from_lines("4\n", 3)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0\n", "line 1: element 0 outside 1..24"),
+            ("-3\n", "line 1: element -3 outside 1..24"),
+            ("# c\n-\n\n-3 0\n-1\n", "line 4: element -3 outside 1..24"),
+        ],
+    )
+    def test_inferred_ground_with_no_element_in_range_names_the_element(self, text, message):
+        # no ground size was read from the file, so none is reported
+        for source in (text, io.BytesIO(text.encode())):
+            with pytest.raises(ValueError) as info:
+                df.family_from_lines(source)
+            assert str(info.value) == message
+        with pytest.raises(ValueError, match="element .* outside 1..3"):
+            df.family_from_lines(text, 3)
+
 
 class TestJsonFormat:
     def test_document_shape(self):
@@ -580,7 +597,6 @@ class TestBlocks:
         text = write(family_n18)
         path = tmp_path / "family"
         path.write_text(text)
-        serialization._SPARE.clear()  # count the block workspace too
         for load in (lambda: cli._load_family(str(path), None), lambda: read(text)):
             tracemalloc.start()
             try:
@@ -608,7 +624,7 @@ class TestGenerateInSlices:
     @pytest.mark.parametrize("fmt", ["lines", "json"])
     def test_n19_in_two_slices(self, capsys, fmt):
         family = df.generate_family(df.Generator(19, df.word_of([1, 3], 19)))
-        assert len(family) == 2 * cli._EMIT_SLICE
+        assert len(family) == 2 * serialization._EMIT_SLICE
         assert cli.main(["generate", "--n", "19", "--sc", "1,3", "--format", fmt]) == 0
         out = capsys.readouterr().out
         if fmt == "lines":
@@ -622,7 +638,7 @@ class TestGenerateInSlices:
     def test_small_slices(self, capsys, monkeypatch, fmt, slice_words, n):
         # 1, 2, 4, 8 and 16 words: one short slice, exactly one or more
         # whole slices (by 4), and whole slices then a short one (by 3)
-        monkeypatch.setattr(cli, "_EMIT_SLICE", slice_words)
+        monkeypatch.setattr(serialization, "_EMIT_SLICE", slice_words)
         family = df.generate_family(df.Generator(n, 0))
         assert cli.main(["generate", "--n", str(n), "--format", fmt]) == 0
         expected = oracle_to_lines(family) if fmt == "lines" else oracle_to_json(family)
